@@ -20,7 +20,6 @@
 //! - `--steps N`: transient steps per run (default 10; dt stays the paper's
 //!   1 s)
 //! - `--fill K` / `--droptol T`: knobs of the IC reference configuration
-//! - `--threads N`: `SolverOptions::n_threads` for both configurations
 //! - `--out PATH`: output path (default `BENCH_scaling.json`)
 
 use etherm_bench::{arg_f64, arg_flag, arg_usize, arg_value, timed_transient_run, RunRecord};
@@ -57,17 +56,14 @@ fn main() {
     // dt stays the paper's 1 s regardless of the step count, so every mesh
     // solves the same physics per step.
     let t_end = arg_f64("t-end", steps as f64);
-    let threads = arg_usize("threads", 1);
 
     let ic_options = SolverOptions {
         preconditioner: PrecondKind::Ic(arg_usize("fill", 1)),
         precond_droptol: arg_f64("droptol", SolverOptions::default().precond_droptol),
-        n_threads: threads,
         ..SolverOptions::default()
     };
     let amg_options = SolverOptions {
         preconditioner: PrecondKind::amg(),
-        n_threads: threads,
         ..SolverOptions::default()
     };
 

@@ -23,8 +23,7 @@
 //!   [`crate::SolverOptions::batch_width`] ≥ 2 opts a campaign in
 //!   ([`crate::ensemble::run_ensemble_batched`]).
 //! * Results are bit-identical for any worker-thread count: groups are
-//!   formed globally in sample order, the in-solver thread partition is
-//!   deterministic, and nothing crosses group boundaries.
+//!   formed globally in sample order and nothing crosses group boundaries.
 //! * The recovery ladder and the linear-iteration budget do **not** guard
 //!   the block thermal solves (the electrical solves keep them): a failing
 //!   thermal solve fails the whole group. Batched campaigns trade the
@@ -286,11 +285,7 @@ impl BatchSession {
                             };
                             Csr::pack_batch_values(&mats, &mut self.packed);
                             let nnz = mats[0].values().len();
-                            let op = CsrBatch::from_packed(
-                                mats[0],
-                                &self.packed[..nnz * k],
-                                options.n_threads,
-                            );
+                            let op = CsrBatch::from_packed(mats[0], &self.packed[..nnz * k]);
                             block_pcg_with(
                                 &op,
                                 &self.b_panel,
@@ -390,8 +385,7 @@ impl BatchSession {
                     };
                     Csr::pack_batch_values(&mats, &mut self.packed);
                     let nnz = mats[0].values().len();
-                    let op =
-                        CsrBatch::from_packed(mats[0], &self.packed[..nnz * k], options.n_threads);
+                    let op = CsrBatch::from_packed(mats[0], &self.packed[..nnz * k]);
                     block_pcg_with(
                         &op,
                         &self.b_panel,

@@ -3,9 +3,8 @@
 //!
 //! This is the execution layer of a UQ campaign (paper §IV): the model is
 //! compiled once, every worker thread owns one session, and the samples are
-//! split into contiguous index chunks — the same deterministic scheme as
-//! `etherm_uq::run_monte_carlo_parallel`, so outputs are merged in sample
-//! order and the result is independent of scheduling. In the default exact
+//! split into contiguous index chunks, so outputs are merged in sample order
+//! and the result is independent of scheduling. In the default exact
 //! mode each sample starts from a [`Session::reset`], making the outputs
 //! *bit-identical* to a fresh simulator per sample (and therefore identical
 //! for any `n_threads`). Warm mode keeps sessions hot across the samples of
@@ -18,7 +17,7 @@ use crate::compiled::CompiledModel;
 use crate::error::CoreError;
 use crate::session::{Session, SolveCounters};
 use crate::solution::TransientSolution;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -165,8 +164,10 @@ pub struct EnsembleResult {
 ///
 /// Under [`FailurePolicy::Abort`] (the default), any sample failure aborts
 /// the run with [`CoreError::EnsembleFailed`] wrapping the error of the
-/// failing sample with the smallest index; other workers stop at their next
-/// sample boundary and the abandoned count is reported in the error. Under
+/// failing sample with the smallest index; other workers skip every sample
+/// after the lowest failing index known so far (earlier samples still run,
+/// so the smallest failing index is found whatever the thread timing) and
+/// the abandoned count is reported in the error. Under
 /// [`FailurePolicy::Quarantine`] failures up to `max_failures` are
 /// collected in [`EnsembleResult::failures`] instead — the failing worker
 /// resets its session (clearing any NaN contamination) and continues with
@@ -196,12 +197,15 @@ pub fn run_ensemble<S: Scenario>(
         FailurePolicy::Abort => 0,
         FailurePolicy::Quarantine { max_failures } => max_failures,
     };
-    // Cooperative cancellation: raised by a failing worker (abort policy)
-    // or by the coordinator (quarantine overflow); workers check it at each
-    // sample boundary. Never raised while a quarantine run stays within its
-    // failure tolerance, so such runs attempt every sample — the property
-    // that makes their outcome independent of the thread count.
-    let cancel = AtomicBool::new(false);
+    // Cooperative cancellation: the lowest sample index known to abort the
+    // run, lowered by a failing worker (abort policy) or by the coordinator
+    // (quarantine overflow); workers skip every later sample. Samples before
+    // it still run, so the lowest-index failure is always found and
+    // reported, whatever the thread timing. Never lowered while a
+    // quarantine run stays within its failure tolerance, so such runs
+    // attempt every sample — the property that makes their outcome
+    // independent of the thread count.
+    let stop_after = AtomicUsize::new(usize::MAX);
 
     type Message = (usize, Result<Vec<f64>, CoreError>);
     let (tx, rx) = mpsc::channel::<Message>();
@@ -209,15 +213,15 @@ pub fn run_ensemble<S: Scenario>(
         let mut handles = Vec::new();
         for (c, block) in samples.chunks(chunk).enumerate() {
             let tx = tx.clone();
-            let cancel = &cancel;
+            let stop_after = &stop_after;
             handles.push(scope.spawn(move || {
                 let mut session = Session::new(Arc::clone(compiled));
                 session.set_warm_start(options.warm_start);
                 for (k, sample) in block.iter().enumerate() {
-                    if cancel.load(Ordering::Relaxed) {
+                    let i = c * chunk + k;
+                    if i > stop_after.load(Ordering::Relaxed) {
                         break;
                     }
-                    let i = c * chunk + k;
                     if !options.warm_start {
                         session.reset();
                     }
@@ -227,7 +231,7 @@ pub fn run_ensemble<S: Scenario>(
                     let failed = result.is_err();
                     if failed {
                         if max_failures == 0 {
-                            cancel.store(true, Ordering::Relaxed);
+                            stop_after.fetch_min(i, Ordering::Relaxed);
                         } else {
                             // Quarantine: scrub any solver-state
                             // contamination (NaN-poisoned guesses, degraded
@@ -260,7 +264,7 @@ pub fn run_ensemble<S: Scenario>(
                         error: e,
                     });
                     if failures.len() > max_failures {
-                        cancel.store(true, Ordering::Relaxed);
+                        stop_after.fetch_min(i, Ordering::Relaxed);
                     }
                     Vec::new()
                 }
@@ -368,7 +372,8 @@ pub fn run_ensemble_batched<S: BatchScenario>(
         FailurePolicy::Abort => 0,
         FailurePolicy::Quarantine { max_failures } => max_failures,
     };
-    let cancel = AtomicBool::new(false);
+    // Lowest group index known to abort the run; see `run_ensemble`.
+    let stop_after = AtomicUsize::new(usize::MAX);
 
     type Message = (usize, Result<Vec<Vec<f64>>, CoreError>);
     let (tx, rx) = mpsc::channel::<Message>();
@@ -376,14 +381,14 @@ pub fn run_ensemble_batched<S: BatchScenario>(
         let mut handles = Vec::new();
         for (c, block) in groups.chunks(gchunk).enumerate() {
             let tx = tx.clone();
-            let cancel = &cancel;
+            let stop_after = &stop_after;
             handles.push(scope.spawn(move || {
                 let mut batch = BatchSession::new(compiled, width);
                 for (gk, group) in block.iter().enumerate() {
-                    if cancel.load(Ordering::Relaxed) {
+                    let g = c * gchunk + gk;
+                    if g > stop_after.load(Ordering::Relaxed) {
                         break;
                     }
-                    let g = c * gchunk + gk;
                     batch.reset();
                     let k = group.len();
                     let result: Result<Vec<Vec<f64>>, CoreError> = (|| {
@@ -401,7 +406,7 @@ pub fn run_ensemble_batched<S: BatchScenario>(
                     let failed = result.is_err();
                     if failed {
                         if max_failures == 0 {
-                            cancel.store(true, Ordering::Relaxed);
+                            stop_after.fetch_min(g, Ordering::Relaxed);
                         } else {
                             // Quarantine: scrub the whole group's state.
                             batch.reset();
@@ -437,7 +442,7 @@ pub fn run_ensemble_batched<S: BatchScenario>(
                         slots[base + j] = Some(Vec::new());
                     }
                     if failures.len() > max_failures {
-                        cancel.store(true, Ordering::Relaxed);
+                        stop_after.fetch_min(g, Ordering::Relaxed);
                     }
                 }
             }

@@ -172,11 +172,6 @@ pub struct SolverOptions {
     /// classic weak-coupling scheme, accurate to `O(Δt)` like the implicit
     /// Euler method itself and ~35 % faster on package-sized models.
     pub resolve_electrical_every_picard: bool,
-    /// OS threads for the sparse matrix-vector products inside CG
-    /// (`1` = serial). The row partition is deterministic and the product
-    /// bit-identical to the serial kernel, so results do not depend on the
-    /// thread count.
-    pub n_threads: usize,
     /// Lazy-refresh trigger: a cached preconditioner is refreshed (in place,
     /// over the frozen sparsity pattern) when a solve needs more than
     /// `precond_refresh_factor ×` the CG iterations of the first solve after
@@ -220,7 +215,6 @@ impl Default for SolverOptions {
             wire_heat_capacity: true,
             strict_picard: false,
             resolve_electrical_every_picard: true,
-            n_threads: 1,
             precond_refresh_factor: 1.5,
             precond_max_reuses: 64,
             precond_droptol: 0.01,
@@ -283,7 +277,6 @@ mod tests {
         assert!(o.picard_tol > 0.0 && o.picard_tol < 1e-3);
         assert!(o.picard_max_iter >= 10);
         assert!(o.wire_heat_capacity);
-        assert_eq!(o.n_threads, 1);
         assert!(o.precond_refresh_factor > 1.0);
         assert!(o.precond_max_reuses > 0);
         assert_eq!(o.batch_width, 0, "batching must be opt-in");

@@ -38,7 +38,7 @@ use etherm_numerics::solvers::{
     FaultyLinOp, IdentityPrecond, IncompleteCholesky, JacobiPrecond, KrylovWorkspace,
     Preconditioner, SolveReport, Ssor,
 };
-use etherm_numerics::sparse::{Csr, ParSpmv};
+use etherm_numerics::sparse::Csr;
 use etherm_numerics::{vector, MultiVec, NumericsError};
 use std::sync::Arc;
 
@@ -76,7 +76,6 @@ impl CachedPrecond {
                 AmgOptions {
                     strength_theta: theta,
                     smoother: AmgSmoother::Ssor { omega, sweeps: 1 },
-                    n_threads: options.n_threads,
                     ..AmgOptions::default()
                 },
             )?)),
@@ -1672,17 +1671,8 @@ fn solve_reduced(
         };
         let report = if let Some(inj) = faulty {
             inj.begin_attempt();
-            if options.n_threads > 1 {
-                let op = ParSpmv::new(a, options.n_threads);
-                let fop = FaultyLinOp::new(&op, inj);
-                pcg_with(&fop, b, x, p, &opts, &mut cache.ws)
-            } else {
-                let fop = FaultyLinOp::new(a, inj);
-                pcg_with(&fop, b, x, p, &opts, &mut cache.ws)
-            }
-        } else if options.n_threads > 1 {
-            let op = ParSpmv::new(a, options.n_threads);
-            pcg_with(&op, b, x, p, &opts, &mut cache.ws)
+            let fop = FaultyLinOp::new(a, inj);
+            pcg_with(&fop, b, x, p, &opts, &mut cache.ws)
         } else {
             pcg_with(a, b, x, p, &opts, &mut cache.ws)
         };

@@ -112,10 +112,10 @@ mod tests {
         assert!(e.to_string().contains("100"));
 
         let e = NumericsError::Breakdown {
-            solver: "bicgstab",
-            detail: "rho vanished",
+            solver: "pcg",
+            detail: "pᵀAp not positive: operator is not SPD",
         };
-        assert!(e.to_string().contains("rho"));
+        assert!(e.to_string().contains("not SPD"));
 
         let e = NumericsError::FactorizationFailed {
             kind: "cholesky",

@@ -9,10 +9,9 @@
 //! * [`sparse`] — COO assembly and CSR storage with matrix-vector kernels,
 //! * [`multivec`] — column-major `n × k` panels and fused multi-RHS kernels
 //!   for the batched (block) Krylov path,
-//! * [`solvers`] — CG/PCG (Jacobi, IC(0), SSOR preconditioners), BiCGStab,
-//!   and a Thomas tridiagonal solver,
-//! * [`fixedpoint`] — a damped fixed-point (Picard) driver used by the
-//!   nonlinear electrothermal coupling.
+//! * [`solvers`] — CG/PCG and block CG with Jacobi, IC(0), SSOR and
+//!   smoothed-aggregation AMG preconditioners, and a Thomas tridiagonal
+//!   solver.
 //!
 //! # Example
 //!
@@ -44,7 +43,6 @@
 
 pub mod dense;
 pub mod error;
-pub mod fixedpoint;
 pub mod interp;
 pub mod multivec;
 pub mod quadrature;
@@ -54,4 +52,4 @@ pub mod vector;
 
 pub use error::NumericsError;
 pub use multivec::MultiVec;
-pub use sparse::{BlockLinOp, Coo, Csr, CsrBatch, LinOp, ParSpmv};
+pub use sparse::{BlockLinOp, Coo, Csr, CsrBatch, LinOp};

@@ -59,21 +59,12 @@
 //! whenever the strength classification is unchanged. If the pattern *did*
 //! change, `refresh` fails with [`NumericsError::InvalidArgument`] and the
 //! caller rebuilds (the simulator's cache does exactly that).
-//!
-//! Residuals, restrictions, prolongations and Jacobi sweeps go through
-//! [`Csr::spmv_threaded`] on levels with at least 1024 DoFs when
-//! [`AmgOptions::n_threads`] `> 1`; the row partition is deterministic, so
-//! results are bit-identical to serial.
 
 use crate::error::NumericsError;
 use crate::multivec::MultiVec;
 use crate::solvers::Preconditioner;
 use crate::sparse::{Coo, Csr};
 use std::cell::RefCell;
-
-/// Below this many DoFs a level always runs serial kernels (thread-spawn
-/// latency would exceed the sweep itself).
-const PAR_THRESHOLD: usize = 1024;
 
 /// Smoother applied before and after each coarse-grid correction.
 ///
@@ -126,9 +117,6 @@ pub struct AmgOptions {
     /// Hard cap on the number of levels (safety net for pathological
     /// coarsening).
     pub max_levels: usize,
-    /// OS threads for residuals, grid transfers and Jacobi sweeps on large
-    /// levels (`1` = serial; results are bit-identical regardless).
-    pub n_threads: usize,
 }
 
 impl Default for AmgOptions {
@@ -139,7 +127,6 @@ impl Default for AmgOptions {
             smoother: AmgSmoother::default(),
             coarse_max: 64,
             max_levels: 16,
-            n_threads: 1,
         }
     }
 }
@@ -620,15 +607,6 @@ impl AmgPrecond {
         total as f64 / fine_nnz as f64
     }
 
-    /// Thread count for kernels on an `n`-dimensional level.
-    fn threads_for(&self, n: usize) -> usize {
-        if n >= PAR_THRESHOLD {
-            self.options.n_threads
-        } else {
-            1
-        }
-    }
-
     /// One V-cycle on level `l`: `s[l].b` is the RHS, result in `s[l].x`.
     fn cycle(&self, l: usize, s: &mut [LevelScratch]) {
         if l == self.levels.len() {
@@ -647,13 +625,12 @@ impl AmgPrecond {
             return;
         }
         let level = &self.levels[l];
-        let nt = self.threads_for(level.a.n_rows());
         {
             let sl = &mut s[l];
             sl.x.fill(0.0);
-            level.smooth(&self.options, nt, &sl.b, &mut sl.x, &mut sl.res, true);
+            level.smooth(&self.options, &sl.b, &mut sl.x, &mut sl.res, true);
             // res ← b − A·x
-            level.a.spmv_threaded(&sl.x, &mut sl.res, nt);
+            level.a.spmv(&sl.x, &mut sl.res);
             for (ri, bi) in sl.res.iter_mut().zip(&sl.b) {
                 *ri = bi - *ri;
             }
@@ -662,18 +639,18 @@ impl AmgPrecond {
             // b_{l+1} ← R·res (scratch holds one slot per level plus the
             // coarsest, so the split leaves l+1 on the right).
             let (this, deeper) = s.split_at_mut(l + 1);
-            level.r.spmv_threaded(&this[l].res, &mut deeper[0].b, nt);
+            level.r.spmv(&this[l].res, &mut deeper[0].b);
         }
         self.cycle(l + 1, s);
         {
             let (this, deeper) = s.split_at_mut(l + 1);
             let sl = &mut this[l];
             // x ← x + P·x_{l+1}
-            level.p.spmv_threaded(&deeper[0].x, &mut sl.tmp, nt);
+            level.p.spmv(&deeper[0].x, &mut sl.tmp);
             for (xi, ti) in sl.x.iter_mut().zip(&sl.tmp) {
                 *xi += ti;
             }
-            level.smooth(&self.options, nt, &sl.b, &mut sl.x, &mut sl.res, false);
+            level.smooth(&self.options, &sl.b, &mut sl.x, &mut sl.res, false);
         }
     }
 
@@ -705,31 +682,30 @@ impl AmgPrecond {
             return;
         }
         let level = &self.levels[l];
-        let nt = self.threads_for(level.a.n_rows());
         {
             let sl = &mut s[l];
             sl.x.fill(0.0);
-            level.smooth_block(&self.options, nt, &sl.b, &mut sl.x, &mut sl.res, true);
+            level.smooth_block(&self.options, &sl.b, &mut sl.x, &mut sl.res, true);
             // res ← b − A·x
-            level.a.spmm_threaded(&sl.x, &mut sl.res, nt);
+            level.a.spmm_into(&sl.x, &mut sl.res);
             for (ri, bi) in sl.res.as_mut_slice().iter_mut().zip(sl.b.as_slice()) {
                 *ri = bi - *ri;
             }
         }
         {
             let (this, deeper) = s.split_at_mut(l + 1);
-            level.r.spmm_threaded(&this[l].res, &mut deeper[0].b, nt);
+            level.r.spmm_into(&this[l].res, &mut deeper[0].b);
         }
         self.cycle_block(l + 1, s);
         {
             let (this, deeper) = s.split_at_mut(l + 1);
             let sl = &mut this[l];
             // x ← x + P·x_{l+1}
-            level.p.spmm_threaded(&deeper[0].x, &mut sl.tmp, nt);
+            level.p.spmm_into(&deeper[0].x, &mut sl.tmp);
             for (xi, ti) in sl.x.as_mut_slice().iter_mut().zip(sl.tmp.as_slice()) {
                 *xi += ti;
             }
-            level.smooth_block(&self.options, nt, &sl.b, &mut sl.x, &mut sl.res, false);
+            level.smooth_block(&self.options, &sl.b, &mut sl.x, &mut sl.res, false);
         }
     }
 }
@@ -1076,7 +1052,6 @@ impl Level {
     fn smooth(
         &self,
         options: &AmgOptions,
-        n_threads: usize,
         b: &[f64],
         x: &mut [f64],
         spmv: &mut [f64],
@@ -1085,7 +1060,7 @@ impl Level {
         match options.smoother {
             AmgSmoother::Jacobi { omega, sweeps } => {
                 for _ in 0..sweeps {
-                    self.a.spmv_threaded(x, spmv, n_threads);
+                    self.a.spmv(x, spmv);
                     for i in 0..x.len() {
                         x[i] += omega * self.inv_diag[i] * (b[i] - spmv[i]);
                     }
@@ -1104,7 +1079,6 @@ impl Level {
     fn smooth_block(
         &self,
         options: &AmgOptions,
-        n_threads: usize,
         b: &MultiVec,
         x: &mut MultiVec,
         spmm: &mut MultiVec,
@@ -1117,7 +1091,7 @@ impl Level {
         match options.smoother {
             AmgSmoother::Jacobi { omega, sweeps } => {
                 for _ in 0..sweeps {
-                    self.a.spmm_threaded(x, spmm, n_threads);
+                    self.a.spmm_into(x, spmm);
                     for ((xrow, (brow, srow)), &d) in x
                         .as_mut_slice()
                         .chunks_exact_mut(k)
@@ -1316,37 +1290,14 @@ mod tests {
     }
 
     #[test]
-    fn threaded_apply_is_bit_identical_to_serial() {
-        let a = lap3d(11, 0.1); // 1331 DoFs: above the threading threshold
-        let n = a.n_rows();
-        let serial = AmgPrecond::new(&a, AmgOptions::default()).unwrap();
-        let threaded = AmgPrecond::new(
-            &a,
-            AmgOptions {
-                n_threads: 4,
-                ..AmgOptions::default()
-            },
-        )
-        .unwrap();
-        let r: Vec<f64> = (0..n).map(|i| ((i * 17 % 23) as f64) - 11.0).collect();
-        let mut z1 = vec![0.0; n];
-        let mut z2 = vec![0.0; n];
-        serial.apply(&r, &mut z1);
-        threaded.apply(&r, &mut z2);
-        assert_eq!(z1, z2);
-    }
-
-    #[test]
     fn apply_block_is_bit_identical_to_scalar_apply() {
-        // Both smoothers, both coarsest solvers (Direct via the default
-        // hierarchy, threaded kernels via n_threads = 4), narrow and wide
-        // interleaved panels including an odd width.
+        // Both smoothers, narrow and wide interleaved panels including an
+        // odd width.
         let a = lap3d(11, 0.1);
         let n = a.n_rows();
         for opts in [
             AmgOptions::default(),
             AmgOptions {
-                n_threads: 4,
                 smoother: AmgSmoother::Jacobi {
                     omega: 0.7,
                     sweeps: 1,

@@ -518,7 +518,7 @@ mod tests {
             })
             .collect();
         let mats: Vec<&Csr> = mats_owned.iter().collect();
-        let batch = CsrBatch::new(mats.clone(), 1);
+        let batch = CsrBatch::new(mats.clone());
         // Shared preconditioner built from the first matrix: legitimate for
         // CG (affects iteration counts, not converged answers), and exactly
         // what the ensemble fast path does.

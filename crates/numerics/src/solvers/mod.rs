@@ -4,31 +4,26 @@
 //! All discretized FIT systems in this project are symmetric positive
 //! definite after Dirichlet elimination (Laplacian + diagonal Robin terms +
 //! symmetric two-terminal wire stamps), so preconditioned conjugate gradients
-//! ([`pcg`]) is the workhorse. [`bicgstab`] is provided for general
-//! (non-symmetric) systems and for cross-checks, [`solve_tridiagonal`] for
-//! the 1D analytic wire chains.
+//! is the only Krylov method: [`pcg`] for one right-hand side,
+//! [`block_pcg_with`] for a panel of them, preconditioned by Jacobi, IC(0),
+//! SSOR or [`AmgPrecond`]. [`solve_tridiagonal`] serves the 1D analytic wire
+//! chains.
 
 mod amg;
-mod bicgstab;
 mod block_cg;
 mod cg;
 pub mod fault;
-mod gmres;
 mod precond;
-mod skyline;
 mod tridiag;
 mod workspace;
 
 pub use amg::{AmgOptions, AmgPrecond, AmgSmoother};
-pub use bicgstab::{bicgstab, bicgstab_with};
 pub use block_cg::block_pcg_with;
 pub use cg::{cg, pcg, pcg_with, CgOptions};
 pub use fault::{Fault, FaultInjector, FaultKind, FaultPlan, FaultyLinOp};
-pub use gmres::{gmres, gmres_with, GmresOptions};
 pub use precond::{IdentityPrecond, IncompleteCholesky, JacobiPrecond, Preconditioner, Ssor};
-pub use skyline::SkylineCholesky;
 pub use tridiag::solve_tridiagonal;
-pub use workspace::{BlockKrylovWorkspace, GmresWorkspace, KrylovWorkspace};
+pub use workspace::{BlockKrylovWorkspace, KrylovWorkspace};
 
 /// Outcome of an iterative solve.
 #[derive(Debug, Clone, Copy, PartialEq)]

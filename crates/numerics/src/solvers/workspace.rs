@@ -2,36 +2,24 @@
 
 use crate::multivec::MultiVec;
 
-/// Scratch vectors for [`pcg`](crate::solvers::pcg) /
-/// [`bicgstab`](crate::solvers::bicgstab), reusable across solves.
+/// Scratch vectors for [`pcg_with`](crate::solvers::pcg_with), reusable
+/// across solves.
 ///
 /// The Picard/implicit-Euler hot path performs thousands of linear solves on
 /// systems of identical size; handing the same workspace to every solve makes
-/// the Krylov iterations allocation-free after the first call ([`pcg`] needs
-/// the first four buffers, [`bicgstab`] all eight). Buffers are grown on
-/// demand and never shrunk, so alternating between subsystems of different
-/// sizes also settles into a steady state without reallocation.
-///
-/// [`pcg`]: crate::solvers::pcg
-/// [`bicgstab`]: crate::solvers::bicgstab
+/// the Krylov iterations allocation-free after the first call. Buffers are
+/// grown on demand and never shrunk, so alternating between subsystems of
+/// different sizes also settles into a steady state without reallocation.
 #[derive(Debug, Clone, Default)]
 pub struct KrylovWorkspace {
     /// Residual `r`.
     pub(super) r: Vec<f64>,
-    /// Preconditioned residual `z` (BiCGStab: preconditioned direction).
+    /// Preconditioned residual `z`.
     pub(super) z: Vec<f64>,
     /// Search direction `p`.
     pub(super) p: Vec<f64>,
     /// Operator product `A·p`.
     pub(super) ap: Vec<f64>,
-    /// BiCGStab shadow residual `r₀`.
-    pub(super) r0: Vec<f64>,
-    /// BiCGStab intermediate residual `s`.
-    pub(super) s: Vec<f64>,
-    /// BiCGStab preconditioned `s`.
-    pub(super) sh: Vec<f64>,
-    /// BiCGStab product `A·ŝ`.
-    pub(super) t: Vec<f64>,
 }
 
 impl KrylovWorkspace {
@@ -40,7 +28,7 @@ impl KrylovWorkspace {
         KrylovWorkspace::default()
     }
 
-    /// A workspace pre-sized for `n`-dimensional solves (both solvers run
+    /// A workspace pre-sized for `n`-dimensional solves (the solver runs
     /// allocation-free from the very first call).
     pub fn with_dim(n: usize) -> Self {
         let mut ws = KrylovWorkspace::default();
@@ -55,16 +43,7 @@ impl KrylovWorkspace {
 
     /// Grows (never shrinks) every buffer to length `n`.
     pub(super) fn ensure(&mut self, n: usize) {
-        for buf in [
-            &mut self.r,
-            &mut self.z,
-            &mut self.p,
-            &mut self.ap,
-            &mut self.r0,
-            &mut self.s,
-            &mut self.sh,
-            &mut self.t,
-        ] {
+        for buf in [&mut self.r, &mut self.z, &mut self.p, &mut self.ap] {
             if buf.len() < n {
                 buf.resize(n, 0.0);
             }
@@ -151,100 +130,9 @@ impl BlockKrylovWorkspace {
     }
 }
 
-/// Scratch buffers for [`gmres_with`](crate::solvers::gmres_with), reusable
-/// across solves.
-///
-/// GMRES(m) keeps a full Krylov basis of `m + 1` vectors plus the Hessenberg
-/// and rotation coefficients, so it gets its own workspace type rather than
-/// piggybacking on [`KrylovWorkspace`]. Buffers grow on demand (both in the
-/// system dimension `n` and the restart length `m`) and never shrink.
-#[derive(Debug, Clone, Default)]
-pub struct GmresWorkspace {
-    /// Residual `r`.
-    pub(super) r: Vec<f64>,
-    /// Operator product `w = A·M⁻¹·v`.
-    pub(super) w: Vec<f64>,
-    /// Preconditioned vector `z = M⁻¹·v`.
-    pub(super) z: Vec<f64>,
-    /// Accumulated solution update `V·y`.
-    pub(super) update: Vec<f64>,
-    /// Krylov basis `v_0 … v_m`.
-    pub(super) basis: Vec<Vec<f64>>,
-    /// Hessenberg matrix, row-major `(m+1) × m` (entry `(j, k)` lives at
-    /// `j * m + k`).
-    pub(super) hess: Vec<f64>,
-    /// Givens cosines.
-    pub(super) cs: Vec<f64>,
-    /// Givens sines.
-    pub(super) sn: Vec<f64>,
-    /// Rotated residual norms `g`.
-    pub(super) g: Vec<f64>,
-    /// Least-squares solution `y`.
-    pub(super) y: Vec<f64>,
-}
-
-impl GmresWorkspace {
-    /// An empty workspace; buffers are allocated lazily on first use.
-    pub fn new() -> Self {
-        GmresWorkspace::default()
-    }
-
-    /// A workspace pre-sized for `n`-dimensional solves with restart length
-    /// `m` (the solver runs allocation-free from the very first call).
-    pub fn with_dims(n: usize, m: usize) -> Self {
-        let mut ws = GmresWorkspace::default();
-        ws.ensure(n, m);
-        ws
-    }
-
-    /// Grows (never shrinks) the buffers for dimension `n` and restart `m`.
-    pub(super) fn ensure(&mut self, n: usize, m: usize) {
-        for buf in [&mut self.r, &mut self.w, &mut self.z, &mut self.update] {
-            if buf.len() < n {
-                buf.resize(n, 0.0);
-            }
-        }
-        if self.basis.len() < m + 1 {
-            self.basis.resize_with(m + 1, Vec::new);
-        }
-        for v in &mut self.basis {
-            if v.len() < n {
-                v.resize(n, 0.0);
-            }
-        }
-        if self.hess.len() < (m + 1) * m {
-            self.hess.resize((m + 1) * m, 0.0);
-        }
-        for buf in [&mut self.cs, &mut self.sn, &mut self.y] {
-            if buf.len() < m {
-                buf.resize(m, 0.0);
-            }
-        }
-        if self.g.len() < m + 1 {
-            self.g.resize(m + 1, 0.0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gmres_workspace_grows_and_never_shrinks() {
-        let mut ws = GmresWorkspace::new();
-        ws.ensure(10, 5);
-        assert_eq!(ws.r.len(), 10);
-        assert_eq!(ws.basis.len(), 6);
-        assert!(ws.basis.iter().all(|v| v.len() == 10));
-        assert_eq!(ws.hess.len(), 30);
-        ws.ensure(4, 2);
-        assert_eq!(ws.r.len(), 10);
-        assert_eq!(ws.basis.len(), 6);
-        let ws2 = GmresWorkspace::with_dims(8, 3);
-        assert_eq!(ws2.g.len(), 4);
-        assert_eq!(ws2.y.len(), 3);
-    }
 
     #[test]
     fn block_workspace_grows_and_never_shrinks() {

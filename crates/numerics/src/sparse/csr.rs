@@ -170,24 +170,18 @@ impl Csr {
 
     /// Sparse matrix-vector product `y ← A x`.
     ///
+    /// The slice-based inner loop lets the compiler hoist the bounds checks
+    /// on the index/value arrays out of the hot loop.
+    ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_cols, "spmv: x length");
         assert_eq!(y.len(), self.n_rows, "spmv: y length");
-        self.spmv_rows(0, x, y);
-    }
-
-    /// Computes rows `[first_row, first_row + y.len())` of `A x` into `y`.
-    ///
-    /// This is the kernel behind both [`Csr::spmv`] and the row-partitioned
-    /// [`Csr::spmv_threaded`]; the slice-based inner loop lets the compiler
-    /// hoist the bounds checks on the index/value arrays out of the hot loop.
-    fn spmv_rows(&self, first_row: usize, x: &[f64], y: &mut [f64]) {
-        let mut lo = self.row_ptr[first_row];
+        let mut lo = self.row_ptr[0];
         for (i, yi) in y.iter_mut().enumerate() {
-            let hi = self.row_ptr[first_row + i + 1];
+            let hi = self.row_ptr[i + 1];
             let mut s = 0.0;
             for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
                 s += v * x[c];
@@ -195,50 +189,6 @@ impl Csr {
             *yi = s;
             lo = hi;
         }
-    }
-
-    /// Row-partitioned threaded SpMV `y ← A x` on `n_threads` OS threads.
-    ///
-    /// The rows are split into contiguous, nnz-balanced chunks; each thread
-    /// writes a disjoint slice of `y`, so the result is bit-identical to the
-    /// serial [`Csr::spmv`] (no reductions, no atomics, no extra memory).
-    /// `n_threads <= 1` falls back to the serial kernel. Built on
-    /// [`std::thread::scope`] — no dependencies beyond the standard library.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn spmv_threaded(&self, x: &[f64], y: &mut [f64], n_threads: usize) {
-        assert_eq!(x.len(), self.n_cols, "spmv: x length");
-        assert_eq!(y.len(), self.n_rows, "spmv: y length");
-        let nt = n_threads.min(self.n_rows);
-        if nt <= 1 {
-            self.spmv_rows(0, x, y);
-            return;
-        }
-        // nnz-balanced contiguous row ranges: chunk t ends at the first row
-        // whose cumulative nnz reaches (t+1)/nt of the total.
-        let nnz = self.nnz();
-        std::thread::scope(|scope| {
-            let mut rest = y;
-            let mut row = 0usize;
-            for t in 0..nt {
-                let target = nnz * (t + 1) / nt;
-                let end = if t + 1 == nt {
-                    self.n_rows
-                } else {
-                    self.row_ptr[row..].partition_point(|&p| p < target) + row
-                };
-                let end = end.clamp(row, self.n_rows);
-                let (chunk, tail) = rest.split_at_mut(end - row);
-                let first_row = row;
-                if !chunk.is_empty() {
-                    scope.spawn(move || self.spmv_rows(first_row, x, chunk));
-                }
-                rest = tail;
-                row = end;
-            }
-        });
     }
 
     /// Fused multi-RHS product `Y ← A X` over row-interleaved panels.
@@ -264,89 +214,19 @@ impl Csr {
         if k == 0 {
             return;
         }
-        self.spmm_rows(0, x.as_slice(), y.as_mut_slice(), k);
-    }
-
-    /// Computes rows `[first_row, first_row + band)` of `A·X`; `y_band` is
-    /// the interleaved storage of those rows (`band·k` entries).
-    fn spmm_rows(&self, first_row: usize, x: &[f64], y_band: &mut [f64], k: usize) {
-        debug_assert_eq!(y_band.len() % k, 0);
-        let band = y_band.len() / k;
-        let mut lo = self.row_ptr[first_row];
-        for (local, yrow) in y_band.chunks_exact_mut(k).enumerate() {
-            let hi = self.row_ptr[first_row + local + 1];
+        let xs = x.as_slice();
+        let mut lo = self.row_ptr[0];
+        for (i, yrow) in y.as_mut_slice().chunks_exact_mut(k).enumerate() {
+            let hi = self.row_ptr[i + 1];
             yrow.fill(0.0);
             for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
-                let xrow = &x[c * k..c * k + k];
+                let xrow = &xs[c * k..c * k + k];
                 for (yv, xv) in yrow.iter_mut().zip(xrow) {
                     *yv += v * xv;
                 }
             }
             lo = hi;
         }
-        debug_assert_eq!(lo, self.row_ptr[first_row + band]);
-    }
-
-    /// Row-partitioned threaded multi-RHS product `Y ← A X`.
-    ///
-    /// The rows are split into the same contiguous, nnz-balanced bands as
-    /// [`Csr::spmv_threaded`]; each thread owns a disjoint band of the
-    /// interleaved panel, so the result is bit-identical to the serial
-    /// [`Csr::spmm_into`] for any thread count. `n_threads <= 1` falls back
-    /// to the serial kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics on row/width mismatch between `x`, `y` and the matrix.
-    pub fn spmm_threaded(&self, x: &MultiVec, y: &mut MultiVec, n_threads: usize) {
-        assert_eq!(x.n_rows(), self.n_cols, "spmm: x rows");
-        assert_eq!(y.n_rows(), self.n_rows, "spmm: y rows");
-        assert_eq!(x.n_cols(), y.n_cols(), "spmm: panel widths");
-        let nt = n_threads.min(self.n_rows);
-        let k = x.n_cols();
-        if k == 0 {
-            return;
-        }
-        if nt <= 1 {
-            self.spmm_into(x, y);
-            return;
-        }
-        let bounds = self.row_bands(nt);
-        let xs = x.as_slice();
-        std::thread::scope(|scope| {
-            let mut rest = y.as_mut_slice();
-            for w in bounds.windows(2) {
-                let (band, tail) = rest.split_at_mut((w[1] - w[0]) * k);
-                rest = tail;
-                if !band.is_empty() {
-                    let first_row = w[0];
-                    scope.spawn(move || self.spmm_rows(first_row, xs, band, k));
-                }
-            }
-        });
-    }
-
-    /// The contiguous, nnz-balanced row bands used by the threaded kernels:
-    /// band `t` is `rows[bounds[t]..bounds[t + 1]]`, chosen so each band
-    /// carries roughly `nnz / nt` stored entries (identical partition math
-    /// to [`Csr::spmv_threaded`]).
-    fn row_bands(&self, nt: usize) -> Vec<usize> {
-        let nnz = self.nnz();
-        let mut bounds = Vec::with_capacity(nt + 1);
-        bounds.push(0usize);
-        let mut row = 0usize;
-        for t in 0..nt {
-            let target = nnz * (t + 1) / nt;
-            let end = if t + 1 == nt {
-                self.n_rows
-            } else {
-                self.row_ptr[row..].partition_point(|&p| p < target) + row
-            };
-            let end = end.clamp(row, self.n_rows);
-            bounds.push(end);
-            row = end;
-        }
-        bounds
     }
 
     /// Packs the values of `k` same-pattern matrices into one interleaved
@@ -405,28 +285,15 @@ impl Csr {
             return;
         }
         assert_eq!(packed.len(), self.nnz() * k, "spmm_packed: values length");
-        self.spmm_packed_rows(0, packed, x.as_slice(), y.as_mut_slice(), k);
-    }
-
-    /// Band kernel of [`Csr::spmm_packed_into`]: rows
-    /// `[first_row, first_row + band)` of the interleaved output.
-    fn spmm_packed_rows(
-        &self,
-        first_row: usize,
-        packed: &[f64],
-        x: &[f64],
-        y_band: &mut [f64],
-        k: usize,
-    ) {
-        debug_assert_eq!(y_band.len() % k, 0);
-        let mut lo = self.row_ptr[first_row];
-        for (local, yrow) in y_band.chunks_exact_mut(k).enumerate() {
-            let hi = self.row_ptr[first_row + local + 1];
+        let xs = x.as_slice();
+        let mut lo = self.row_ptr[0];
+        for (i, yrow) in y.as_mut_slice().chunks_exact_mut(k).enumerate() {
+            let hi = self.row_ptr[i + 1];
             yrow.fill(0.0);
             for t in lo..hi {
                 let c = self.col_idx[t];
                 let vrow = &packed[t * k..t * k + k];
-                let xrow = &x[c * k..c * k + k];
+                let xrow = &xs[c * k..c * k + k];
                 for ((yv, vv), xv) in yrow.iter_mut().zip(vrow).zip(xrow) {
                     *yv += vv * xv;
                 }
@@ -498,48 +365,6 @@ impl Csr {
         }
     }
 
-    /// Row-partitioned threaded variant of [`Csr::spmm_packed_into`],
-    /// bit-identical to the serial kernel for any thread count (disjoint
-    /// row bands, no reductions).
-    ///
-    /// # Panics
-    ///
-    /// See [`Csr::spmm_packed_into`].
-    pub fn spmm_packed_threaded(
-        &self,
-        packed: &[f64],
-        x: &MultiVec,
-        y: &mut MultiVec,
-        n_threads: usize,
-    ) {
-        assert_eq!(x.n_rows(), self.n_cols, "spmm_packed: x rows");
-        assert_eq!(y.n_rows(), self.n_rows, "spmm_packed: y rows");
-        assert_eq!(x.n_cols(), y.n_cols(), "spmm_packed: panel widths");
-        let nt = n_threads.min(self.n_rows);
-        let k = x.n_cols();
-        if k == 0 {
-            return;
-        }
-        assert_eq!(packed.len(), self.nnz() * k, "spmm_packed: values length");
-        if nt <= 1 {
-            self.spmm_packed_rows(0, packed, x.as_slice(), y.as_mut_slice(), k);
-            return;
-        }
-        let bounds = self.row_bands(nt);
-        let xs = x.as_slice();
-        std::thread::scope(|scope| {
-            let mut rest = y.as_mut_slice();
-            for w in bounds.windows(2) {
-                let (band, tail) = rest.split_at_mut((w[1] - w[0]) * k);
-                rest = tail;
-                if !band.is_empty() {
-                    let first_row = w[0];
-                    scope.spawn(move || self.spmm_packed_rows(first_row, packed, xs, band, k));
-                }
-            }
-        });
-    }
-
     /// Batched same-pattern product: `y.col(j) ← mats[j] · x.col(j)`,
     /// reading each matrix's value array in place (no packing step).
     ///
@@ -566,67 +391,21 @@ impl Csr {
             mats.iter().all(|m| m.same_pattern(first)),
             "spmm_batch: sparsity patterns differ"
         );
-        Self::spmm_batch_rows(mats, 0, x.as_slice(), y.as_mut_slice());
-    }
-
-    /// Band kernel of [`Csr::spmm_batch_into`]: rows
-    /// `[first_row, first_row + band)` of the interleaved output, one matrix
-    /// per panel column.
-    fn spmm_batch_rows(mats: &[&Csr], first_row: usize, x: &[f64], y_band: &mut [f64]) {
-        let pattern = mats[0];
         let k = mats.len();
-        debug_assert_eq!(y_band.len() % k, 0);
-        let mut lo = pattern.row_ptr[first_row];
-        for (local, yrow) in y_band.chunks_exact_mut(k).enumerate() {
-            let hi = pattern.row_ptr[first_row + local + 1];
+        let xs = x.as_slice();
+        let mut lo = first.row_ptr[0];
+        for (i, yrow) in y.as_mut_slice().chunks_exact_mut(k).enumerate() {
+            let hi = first.row_ptr[i + 1];
             yrow.fill(0.0);
             for t in lo..hi {
-                let c = pattern.col_idx[t];
-                let xrow = &x[c * k..c * k + k];
+                let c = first.col_idx[t];
+                let xrow = &xs[c * k..c * k + k];
                 for ((yv, m), xv) in yrow.iter_mut().zip(mats).zip(xrow) {
                     *yv += m.values[t] * xv;
                 }
             }
             lo = hi;
         }
-    }
-
-    /// Row-partitioned threaded variant of [`Csr::spmm_batch_into`],
-    /// bit-identical to the serial kernel for any thread count (disjoint
-    /// row bands, no reductions).
-    ///
-    /// # Panics
-    ///
-    /// See [`Csr::spmm_batch_into`].
-    pub fn spmm_batch_threaded(mats: &[&Csr], x: &MultiVec, y: &mut MultiVec, n_threads: usize) {
-        let first = *mats.first().expect("spmm_batch: empty batch");
-        let nt = n_threads.min(first.n_rows);
-        if nt <= 1 {
-            Self::spmm_batch_into(mats, x, y);
-            return;
-        }
-        assert_eq!(mats.len(), x.n_cols(), "spmm_batch: x width");
-        assert_eq!(mats.len(), y.n_cols(), "spmm_batch: y width");
-        assert_eq!(x.n_rows(), first.n_cols, "spmm_batch: x rows");
-        assert_eq!(y.n_rows(), first.n_rows, "spmm_batch: y rows");
-        debug_assert!(
-            mats.iter().all(|m| m.same_pattern(first)),
-            "spmm_batch: sparsity patterns differ"
-        );
-        let k = mats.len();
-        let bounds = first.row_bands(nt);
-        let xs = x.as_slice();
-        std::thread::scope(|scope| {
-            let mut rest = y.as_mut_slice();
-            for w in bounds.windows(2) {
-                let (band, tail) = rest.split_at_mut((w[1] - w[0]) * k);
-                rest = tail;
-                if !band.is_empty() {
-                    let first_row = w[0];
-                    scope.spawn(move || Self::spmm_batch_rows(mats, first_row, xs, band));
-                }
-            }
-        });
     }
 
     /// Allocating variant of [`Csr::spmv`].
@@ -990,32 +769,6 @@ mod tests {
         assert_eq!(y.to_vec(), a.matvec(&x));
     }
 
-    #[test]
-    fn spmv_threaded_is_bit_identical_to_serial() {
-        // Irregular pattern + irrational values: any reassociation or row
-        // mis-assignment would show up as a bit difference.
-        let n = 103;
-        let mut coo = Coo::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 3.0 + (i as f64).sqrt());
-            for d in [1usize, 7, 31] {
-                if i + d < n {
-                    coo.push(i, i + d, -1.0 / (1.0 + d as f64 + i as f64).sqrt());
-                    coo.push(i + d, i, -0.5 / (2.0 + d as f64 * i as f64).sqrt());
-                }
-            }
-        }
-        let a = Csr::from_coo(&coo);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64).sin()).collect();
-        let mut y_serial = vec![0.0; n];
-        a.spmv(&x, &mut y_serial);
-        for nt in [1, 2, 3, 4, 8, 64, 200] {
-            let mut y = vec![f64::NAN; n];
-            a.spmv_threaded(&x, &mut y, nt);
-            assert_eq!(y, y_serial, "n_threads = {nt}");
-        }
-    }
-
     /// Irregular asymmetric-pattern matrix shared by the spmm tests.
     fn irregular(n: usize) -> Csr {
         let mut coo = Coo::new(n, n);
@@ -1058,23 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_threaded_is_bit_identical_to_serial() {
-        let n = 103;
-        let a = irregular(n);
-        for k in [1usize, 3, 32, 35] {
-            let x = panel(n, k, 11);
-            let mut y_serial = MultiVec::zeros(n, k);
-            a.spmm_into(&x, &mut y_serial);
-            for nt in [1usize, 2, 3, 4, 8, 64, 200] {
-                let mut y = MultiVec::zeros(n, k);
-                y.fill(f64::NAN);
-                a.spmm_threaded(&x, &mut y, nt);
-                assert_eq!(y, y_serial, "k = {k}, n_threads = {nt}");
-            }
-        }
-    }
-
-    #[test]
     fn spmm_batch_matches_per_matrix_spmv_bitwise() {
         let n = 103;
         let base = irregular(n);
@@ -1096,24 +832,12 @@ mod tests {
                 mats[j].spmv(&x.col_vec(j), &mut y_ref);
                 assert_eq!(y.col_vec(j), y_ref, "k = {k}, column {j}");
             }
-            for nt in [2usize, 3, 8, 200] {
-                let mut y_t = MultiVec::zeros(n, k);
-                y_t.fill(f64::NAN);
-                Csr::spmm_batch_threaded(&mats, &x, &mut y_t, nt);
-                assert_eq!(y_t, y, "k = {k}, n_threads = {nt}");
-            }
             let mut packed = Vec::new();
             Csr::pack_batch_values(&mats, &mut packed);
             let mut y_p = MultiVec::zeros(n, k);
             y_p.fill(f64::NAN);
             mats[0].spmm_packed_into(&packed, &x, &mut y_p);
             assert_eq!(y_p, y, "packed kernel, k = {k}");
-            for nt in [2usize, 3, 8, 200] {
-                let mut y_pt = MultiVec::zeros(n, k);
-                y_pt.fill(f64::NAN);
-                mats[0].spmm_packed_threaded(&packed, &x, &mut y_pt, nt);
-                assert_eq!(y_pt, y, "packed threaded, k = {k}, n_threads = {nt}");
-            }
         }
     }
 
@@ -1133,7 +857,7 @@ mod tests {
             x.set(1, j, -1.0);
         }
         let mut y = MultiVec::zeros(3, 4);
-        a.spmm_threaded(&x, &mut y, 2);
+        a.spmm_into(&x, &mut y);
         for j in 0..4 {
             let xj = 1.0 + j as f64;
             assert_eq!(y.col_vec(j), &[xj, -2.0, 3.0 * xj - 4.0]);

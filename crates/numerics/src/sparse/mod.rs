@@ -47,10 +47,9 @@ pub trait LinOp {
     /// The default loops [`LinOp::apply_into`] over the columns, staging
     /// each one through freshly allocated contiguous buffers (the panel is
     /// row-interleaved); operators with a fused multi-RHS kernel override it
-    /// ([`Csr`] uses [`Csr::spmm_into`], [`ParSpmv`] uses
-    /// [`Csr::spmm_threaded`]) so one matrix traversal advances all `k`
-    /// right-hand sides — and stays allocation-free. Overrides must keep
-    /// each column bit-identical to the scalar [`LinOp::apply_into`].
+    /// ([`Csr`] uses [`Csr::spmm_into`]) so one matrix traversal advances
+    /// all `k` right-hand sides — and stays allocation-free. Overrides must
+    /// keep each column bit-identical to the scalar [`LinOp::apply_into`].
     ///
     /// # Panics
     ///
@@ -91,11 +90,11 @@ pub trait BlockLinOp {
     /// `out[c] = Σᵢ x[i,c]·y[i,c]` (the block CG's `pᵀAp`) in one step.
     ///
     /// The default performs the apply followed by a separate fused dot pass.
-    /// Operators whose traversal emits output rows in order (the serial
-    /// [`CsrBatch`] kernel) override it to accumulate the dot inside the
-    /// traversal — saving one full read of both panels per Krylov iteration
-    /// — while keeping the exact four-lane reduction order, so the result
-    /// is always bit-identical to the default. `lanes` is scratch of length
+    /// Operators whose traversal emits output rows in order ([`CsrBatch`])
+    /// override it to accumulate the dot inside the traversal — saving one
+    /// full read of both panels per Krylov iteration — while keeping the
+    /// exact four-lane reduction order, so the result is always
+    /// bit-identical to the default. `lanes` is scratch of length
     /// `≥ 5k`.
     ///
     /// # Panics
@@ -137,10 +136,10 @@ impl<T: LinOp + ?Sized> BlockLinOp for T {
 /// frozen assembly pattern share every row traversal. The per-matrix values
 /// are held *packed*: stored entry `t` of the whole batch is the contiguous
 /// row `vals[t·k .. (t+1)·k]` ([`Csr::pack_batch_values`]), so the apply
-/// ([`Csr::spmm_packed_into`] / [`Csr::spmm_packed_threaded`]) advances at
-/// unit stride instead of gathering from `k` separate value arrays. Each
-/// column's floating-point operation order is exactly `mats[j].spmv`, so
-/// results are bit-identical to `k` independent scalar solves.
+/// ([`Csr::spmm_packed_into`]) advances at unit stride instead of gathering
+/// from `k` separate value arrays. Each column's floating-point operation
+/// order is exactly `mats[j].spmv`, so results are bit-identical to `k`
+/// independent scalar solves.
 ///
 /// [`CsrBatch::new`] packs into an owned buffer (one allocation);
 /// [`CsrBatch::from_packed`] borrows a caller-cached buffer so repeated
@@ -150,19 +149,18 @@ pub struct CsrBatch<'a> {
     pattern: &'a Csr,
     vals: std::borrow::Cow<'a, [f64]>,
     k: usize,
-    n_threads: usize,
 }
 
 impl<'a> CsrBatch<'a> {
     /// Packs `mats` (one per panel column) into an owned interleaved value
-    /// buffer; `n_threads <= 1` runs the serial kernel.
+    /// buffer.
     ///
     /// # Panics
     ///
     /// Panics if `mats` is empty, any matrix is non-square, or the sparsity
     /// patterns differ (validated once here so the per-apply kernels only
     /// need debug assertions).
-    pub fn new(mats: Vec<&'a Csr>, n_threads: usize) -> Self {
+    pub fn new(mats: Vec<&'a Csr>) -> Self {
         let first = *mats.first().expect("CsrBatch: empty batch");
         assert_eq!(first.n_rows(), first.n_cols(), "CsrBatch: square matrices");
         assert!(
@@ -176,7 +174,6 @@ impl<'a> CsrBatch<'a> {
             pattern: first,
             vals: std::borrow::Cow::Owned(buf),
             k: mats.len(),
-            n_threads,
         }
     }
 
@@ -190,7 +187,7 @@ impl<'a> CsrBatch<'a> {
     ///
     /// Panics if `pattern` is non-square or `vals.len()` is zero or not a
     /// multiple of `pattern.nnz()`.
-    pub fn from_packed(pattern: &'a Csr, vals: &'a [f64], n_threads: usize) -> Self {
+    pub fn from_packed(pattern: &'a Csr, vals: &'a [f64]) -> Self {
         assert_eq!(
             pattern.n_rows(),
             pattern.n_cols(),
@@ -207,18 +204,12 @@ impl<'a> CsrBatch<'a> {
             pattern,
             vals: std::borrow::Cow::Borrowed(vals),
             k: vals.len() / nnz,
-            n_threads,
         }
     }
 
     /// The panel width `k` (number of matrices).
     pub fn width(&self) -> usize {
         self.k
-    }
-
-    /// The configured thread count.
-    pub fn n_threads(&self) -> usize {
-        self.n_threads
     }
 }
 
@@ -228,12 +219,7 @@ impl BlockLinOp for CsrBatch<'_> {
     }
 
     fn apply_block_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        if self.n_threads > 1 {
-            self.pattern
-                .spmm_packed_threaded(&self.vals, x, y, self.n_threads);
-        } else {
-            self.pattern.spmm_packed_into(&self.vals, x, y);
-        }
+        self.pattern.spmm_packed_into(&self.vals, x, y);
     }
 
     fn apply_block_dot_into(
@@ -243,66 +229,8 @@ impl BlockLinOp for CsrBatch<'_> {
         lanes: &mut [f64],
         out: &mut [f64],
     ) {
-        if self.n_threads > 1 {
-            // The banded threaded kernel writes rows out of order across
-            // bands; keep the dot as a separate (order-fixed) pass.
-            self.pattern
-                .spmm_packed_threaded(&self.vals, x, y, self.n_threads);
-            dot_columns(
-                x.as_slice(),
-                y.as_slice(),
-                x.n_rows(),
-                x.n_cols(),
-                lanes,
-                out,
-            );
-        } else {
-            self.pattern
-                .spmm_packed_dot_into(&self.vals, x, y, lanes, out);
-        }
-    }
-}
-
-/// A [`LinOp`] view of a [`Csr`] whose products run on `n_threads` OS
-/// threads via [`Csr::spmv_threaded`].
-///
-/// The row partition is deterministic and each thread writes a disjoint
-/// slice of the output, so the product is bit-identical to the serial one —
-/// solvers behave identically regardless of the thread count.
-#[derive(Debug, Clone, Copy)]
-pub struct ParSpmv<'a> {
-    a: &'a Csr,
-    n_threads: usize,
-}
-
-impl<'a> ParSpmv<'a> {
-    /// Wraps `a`; `n_threads <= 1` degenerates to the serial kernel.
-    pub fn new(a: &'a Csr, n_threads: usize) -> Self {
-        ParSpmv { a, n_threads }
-    }
-
-    /// The wrapped matrix.
-    pub fn matrix(&self) -> &'a Csr {
-        self.a
-    }
-
-    /// The configured thread count.
-    pub fn n_threads(&self) -> usize {
-        self.n_threads
-    }
-}
-
-impl LinOp for ParSpmv<'_> {
-    fn dim(&self) -> usize {
-        LinOp::dim(self.a)
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.a.spmv_threaded(x, y, self.n_threads);
-    }
-
-    fn apply_block_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        self.a.spmm_threaded(x, y, self.n_threads);
+        self.pattern
+            .spmm_packed_dot_into(&self.vals, x, y, lanes, out);
     }
 }
 
@@ -343,27 +271,6 @@ impl<'a, A: LinOp> LinOp for DiagShifted<'a, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_spmv_matches_serial_apply() {
-        let mut coo = Coo::new(3, 3);
-        for i in 0..3 {
-            coo.push(i, i, 2.0);
-        }
-        coo.push(0, 2, -1.0);
-        coo.push(2, 0, -1.0);
-        let a = Csr::from_coo(&coo);
-        let op = ParSpmv::new(&a, 2);
-        assert_eq!(op.dim(), 3);
-        assert_eq!(op.n_threads(), 2);
-        assert!(std::ptr::eq(op.matrix(), &a));
-        let x = [1.0, 2.0, 3.0];
-        let mut y_par = [0.0; 3];
-        let mut y_ser = [0.0; 3];
-        op.apply_into(&x, &mut y_par);
-        a.apply(&x, &mut y_ser);
-        assert_eq!(y_par, y_ser);
-    }
 
     #[test]
     fn diag_shifted_applies_shift() {

@@ -2,12 +2,12 @@
 //!
 //! A counting global allocator tracks per-thread heap allocations; after a
 //! first (warming) solve populated the [`KrylovWorkspace`] and the
-//! preconditioner, subsequent `pcg_with` / `bicgstab_with` calls on the same
-//! workspace must not touch the heap at all.
+//! preconditioner, subsequent `pcg_with` calls on the same workspace must
+//! not touch the heap at all.
 
 use etherm_numerics::solvers::{
-    bicgstab_with, gmres_with, pcg_with, AmgOptions, AmgPrecond, CgOptions, GmresOptions,
-    GmresWorkspace, IncompleteCholesky, JacobiPrecond, KrylovWorkspace, Preconditioner, Ssor,
+    pcg_with, AmgOptions, AmgPrecond, CgOptions, IncompleteCholesky, JacobiPrecond,
+    KrylovWorkspace, Preconditioner, Ssor,
 };
 use etherm_numerics::sparse::{Coo, Csr};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -221,7 +221,7 @@ fn block_path_is_allocation_free_after_warmup() {
     let ic = IncompleteCholesky::with_fill(&mats_owned[0], 1).unwrap();
     let ssor = Ssor::new(&mats_owned[0], 1.2).unwrap();
     let amg = AmgPrecond::new(&mats_owned[0], AmgOptions::default()).unwrap();
-    let op = CsrBatch::new(mats.clone(), 1);
+    let op = CsrBatch::new(mats.clone());
     // The session hot loop re-packs per solve into a cached buffer and
     // borrows it; warm it once here so the counted re-pack is steady-state.
     let mut packed = Vec::new();
@@ -241,7 +241,7 @@ fn block_path_is_allocation_free_after_warmup() {
     a.spmm_into(&b, &mut y);
     Csr::spmm_batch_into(&mats, &b, &mut y);
     Csr::pack_batch_values(&mats, &mut packed);
-    let op_packed = CsrBatch::from_packed(&mats_owned[0], &packed, 1);
+    let op_packed = CsrBatch::from_packed(&mats_owned[0], &packed);
     assert_eq!(op_packed.width(), k);
     assert_eq!(allocations() - before, 0, "fused spmm or value re-pack allocated");
 
@@ -268,61 +268,4 @@ fn block_path_is_allocation_free_after_warmup() {
     }
     assert!(solved > 0);
     assert_eq!(allocations() - before, 0, "block pcg allocated on warm path");
-}
-
-#[test]
-fn gmres_is_allocation_free_after_warmup() {
-    // Mildly non-symmetric system (the GMRES use case).
-    let n = 200;
-    let mut coo = Coo::new(n, n);
-    for i in 0..n {
-        coo.push(i, i, 3.0);
-        if i + 1 < n {
-            coo.push(i, i + 1, -0.6);
-            coo.push(i + 1, i, -1.4);
-        }
-    }
-    let a = Csr::from_coo(&coo);
-    let b: Vec<f64> = (0..n).map(|i| ((i * 3 % 11) as f64) - 5.0).collect();
-    let jac = JacobiPrecond::new(&a).unwrap();
-    let opts = GmresOptions {
-        restart: 25,
-        ..GmresOptions::default()
-    };
-    let mut ws = GmresWorkspace::new();
-    let mut x = vec![0.0; n];
-    gmres_with(&a, &b, &mut x, &jac, &opts, &mut ws).unwrap();
-
-    let before = allocations();
-    x.fill(0.0);
-    let rep = gmres_with(&a, &b, &mut x, &jac, &opts, &mut ws).unwrap();
-    assert!(rep.converged && rep.iterations > 0);
-    assert_eq!(allocations() - before, 0, "gmres allocated on warm path");
-}
-
-#[test]
-fn bicgstab_is_allocation_free_after_warmup() {
-    // Mildly non-symmetric system.
-    let n = 150;
-    let mut coo = Coo::new(n, n);
-    for i in 0..n {
-        coo.push(i, i, 3.0);
-        if i + 1 < n {
-            coo.push(i, i + 1, -0.5);
-            coo.push(i + 1, i, -2.0);
-        }
-    }
-    let a = Csr::from_coo(&coo);
-    let b = vec![1.0; n];
-    let jac = JacobiPrecond::new(&a).unwrap();
-    let opts = CgOptions::with_tol(1e-10);
-    let mut ws = KrylovWorkspace::new();
-    let mut x = vec![0.0; n];
-    bicgstab_with(&a, &b, &mut x, &jac, &opts, &mut ws).unwrap();
-
-    let before = allocations();
-    x.fill(0.0);
-    let rep = bicgstab_with(&a, &b, &mut x, &jac, &opts, &mut ws).unwrap();
-    assert!(rep.converged && rep.iterations > 0);
-    assert_eq!(allocations() - before, 0, "bicgstab allocated on warm path");
 }

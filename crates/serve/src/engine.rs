@@ -43,7 +43,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Recovers from mutex poisoning instead of panicking (the engine sits in
 /// the `no-panic-unwrap` perimeter; shared state stays usable after a
@@ -250,6 +249,16 @@ struct Shared {
     wake_cv: Condvar,
 }
 
+impl Shared {
+    /// Wakes every idle worker. Notifying under `wake_mx` orders the signal
+    /// after any worker's check of `queued`/`shutdown`, so no wakeup is
+    /// lost; callers update that state before calling.
+    fn wake_all(&self) {
+        let _guard = lock_or_recover(&self.wake_mx);
+        self.wake_cv.notify_all();
+    }
+}
+
 /// The multi-tenant serving engine. Create once, share via [`Arc`]; the
 /// in-process [`crate::ServeHandle`] and the TCP daemon are both thin
 /// frame adapters over it.
@@ -353,10 +362,11 @@ impl Engine {
             cancel,
             tx,
         };
+        // Count before pushing, so a worker's `fetch_sub` never underflows.
         s.queued.fetch_add(1, Ordering::SeqCst);
         let target = (hash % s.config.workers as u64) as usize;
         lock_or_recover(&s.queues[target]).push_back(job);
-        s.wake_cv.notify_all();
+        s.wake_all();
         rx
     }
 
@@ -438,7 +448,7 @@ impl Engine {
     pub fn shutdown_and_join(&self) {
         let s = &self.shared;
         s.shutdown.store(true, Ordering::SeqCst);
-        s.wake_cv.notify_all();
+        s.wake_all();
         let handles = std::mem::take(&mut *lock_or_recover(&self.workers));
         for h in handles {
             let _ = h.join();
@@ -533,13 +543,14 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
+        // Check and wait under `wake_mx`: a notifier must take the same
+        // lock (`Shared::wake_all`), so its signal cannot fall between the
+        // check and the wait.
         let guard = lock_or_recover(&shared.wake_mx);
         if shared.queued.load(Ordering::SeqCst) > 0 || shared.shutdown.load(Ordering::SeqCst) {
             continue;
         }
-        // The timeout is a safety net against lost wakeups, not a pacing
-        // mechanism; all signal paths notify the condvar.
-        let _ = shared.wake_cv.wait_timeout(guard, Duration::from_millis(50));
+        drop(shared.wake_cv.wait(guard));
     }
     // Drain after shutdown: queued jobs are answered, not dropped.
     while let Some(job) = pop_job(shared, index) {

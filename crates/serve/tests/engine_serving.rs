@@ -1,6 +1,7 @@
 //! Integration tests of the serving engine: scheduler determinism across
 //! worker counts, per-class budget admission, queue-overflow shedding,
-//! cancellation, and surrogate routing for QoI requests.
+//! worker wakeups under back-to-back submits, cancellation, and surrogate
+//! routing for QoI requests.
 //!
 //! All timeouts are `Duration` bounds on channel receives — no wall-clock
 //! reads (the `wall-clock` lint covers test files too).
@@ -178,6 +179,45 @@ fn queue_overflow_sheds_structurally() {
     match handle.health() {
         Response::Health { shed_total, .. } => assert_eq!(shed_total, shed),
         other => panic!("expected health frame, got {other:?}"),
+    }
+    engine.shutdown_and_join();
+}
+
+/// A thousand submits in back-to-back waves of 1 to 8 jobs, each wave
+/// drained before the next, so the workers go idle and are woken hundreds
+/// of times. Workers wait on the condvar without a timeout, so a lost
+/// wakeup would leave a job unanswered and fail the receive bound.
+#[test]
+fn back_to_back_submits_all_complete() {
+    const JOBS: u64 = 1000;
+    let (engine, handle) = engine_with(2, ServeConfig::default());
+    let params = JobParams {
+        t_end: 0.25,
+        n_steps: 1,
+        ..JobParams::default()
+    };
+    let mut seed = 0u64;
+    let mut wave = 0u64;
+    while seed < JOBS {
+        let size = (wave % 8 + 1).min(JOBS - seed);
+        let tickets: Vec<_> = (seed..seed + size)
+            .map(|s| {
+                handle.submit(
+                    RequestClass::WireSizing,
+                    ModelSpec::block_small(),
+                    params.clone(),
+                    s,
+                )
+            })
+            .collect();
+        for ticket in &tickets {
+            match terminal(ticket) {
+                Response::Result { .. } => {}
+                other => panic!("expected result frame, got {other:?}"),
+            }
+        }
+        seed += size;
+        wave += 1;
     }
     engine.shutdown_and_join();
 }

@@ -45,7 +45,7 @@ pub mod variance_reduction;
 
 pub use dist::{Distribution, LogNormal, Normal, TruncatedNormal, Uniform};
 pub use error::UqError;
-pub use montecarlo::{draw_samples, run_monte_carlo, run_monte_carlo_parallel, McOptions, McResult};
+pub use montecarlo::{draw_samples, run_monte_carlo, McOptions, McResult};
 pub use pce::{
     fit_projection_1d, fit_regression, fit_regression_strict, fit_sparse_projection,
     fit_tensor_projection, MultiIndexSet, PceModel,

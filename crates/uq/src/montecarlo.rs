@@ -8,7 +8,6 @@
 use crate::dist::Distribution;
 use crate::sampling::SampleGenerator;
 use crate::stats::RunningStats;
-use std::sync::mpsc;
 
 /// Options for [`run_monte_carlo`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -16,10 +15,8 @@ pub struct McOptions {
     /// Keep every per-sample output vector (needed for histograms /
     /// quantiles; costs `M × n_outputs` doubles).
     pub keep_samples: bool,
-    /// Serialized progress callback `(samples_done, total)`. Both drivers
-    /// invoke it on the coordinating thread as results are accumulated in
-    /// sample order, so progress output never interleaves — workers must
-    /// not print from their model closures.
+    /// Progress callback `(samples_done, total)`, invoked after each sample
+    /// is accumulated, in sample order.
     pub progress: Option<fn(usize, usize)>,
 }
 
@@ -105,9 +102,9 @@ impl McResult {
 }
 
 /// Maps `n` points from `generator` through the `dists` quantiles
-/// (inversion sampling) — the shared design-drawing step of both Monte
-/// Carlo drivers, exposed so campaign engines can draw the same design and
-/// evaluate it elsewhere (e.g. `etherm_core::run_ensemble`).
+/// (inversion sampling) — the design-drawing step of [`run_monte_carlo`],
+/// exposed so campaign engines can draw the same design and evaluate it
+/// elsewhere (e.g. `etherm_core::run_ensemble`).
 ///
 /// # Panics
 ///
@@ -205,167 +202,6 @@ where
             progress(i + 1, n);
         }
     }
-
-    Ok(McResult {
-        outputs,
-        n_samples: n,
-        inputs,
-        samples,
-    })
-}
-
-/// Parallel variant of [`run_monte_carlo`]: the design is drawn once (so
-/// results are *identical* to the serial driver for the same generator and
-/// seed, regardless of `n_threads`), then the model evaluations are split
-/// across `n_threads` OS threads. Each thread gets its own model instance
-/// from `model_factory` — the coupled electrothermal solver is stateful
-/// (cached matrices, warm starts), so sharing one instance is not an option.
-///
-/// Completed samples stream back to the coordinating thread, which pushes
-/// them into the running statistics *in sample index order* (bit-identical
-/// to serial) and frees each vector as soon as it is merged. Without
-/// [`McOptions::keep_samples`] the peak memory is therefore the
-/// out-of-order window (typically a few samples per thread), not all `n`
-/// QoI vectors at once.
-///
-/// # Errors
-///
-/// Propagates the first error (by sample index) returned by any model.
-///
-/// # Panics
-///
-/// Panics if `dists` is empty, `n_threads == 0`, or the models return
-/// inconsistent output lengths.
-///
-/// # Example
-///
-/// ```
-/// use etherm_uq::montecarlo::{run_monte_carlo_parallel, McOptions};
-/// use etherm_uq::{MonteCarloSampler, Normal};
-///
-/// let delta = Normal::new(0.17, 0.048).unwrap();
-/// let mut gen = MonteCarloSampler::new(7);
-/// let dists: Vec<&dyn etherm_uq::Distribution> = vec![&delta, &delta];
-/// let result = run_monte_carlo_parallel(
-///     &mut gen,
-///     &dists,
-///     1000,
-///     McOptions::default(),
-///     4,
-///     || |_i: usize, x: &[f64]| Ok::<_, std::convert::Infallible>(vec![x[0] + x[1]]),
-/// )
-/// .unwrap();
-/// assert!((result.means()[0] - 0.34).abs() < 0.01);
-/// ```
-pub fn run_monte_carlo_parallel<F, E, MF>(
-    generator: &mut dyn SampleGenerator,
-    dists: &[&dyn Distribution],
-    n: usize,
-    options: McOptions,
-    n_threads: usize,
-    model_factory: MF,
-) -> Result<McResult, E>
-where
-    F: FnMut(usize, &[f64]) -> Result<Vec<f64>, E>,
-    E: Send,
-    MF: Fn() -> F + Sync,
-{
-    assert!(!dists.is_empty(), "run_monte_carlo_parallel: no inputs");
-    assert!(n_threads > 0, "run_monte_carlo_parallel: need ≥ 1 thread");
-    let inputs = draw_samples(generator, dists, n);
-
-    // Evaluate in contiguous index chunks and stream each completed sample
-    // back; the coordinator below merges strictly in sample order, so the
-    // statistics are bit-identical to serial for any thread count.
-    let chunk = n.div_ceil(n_threads).max(1);
-    let (tx, rx) = mpsc::channel::<(usize, Result<Vec<f64>, E>)>();
-    let merged = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (c, block) in inputs.chunks(chunk).enumerate() {
-            let factory = &model_factory;
-            let tx = tx.clone();
-            handles.push(scope.spawn(move || {
-                let mut model = factory();
-                for (k, x) in block.iter().enumerate() {
-                    let i = c * chunk + k;
-                    let r = model(i, x);
-                    let failed = r.is_err();
-                    if tx.send((i, r)).is_err() || failed {
-                        // Receiver gone or chunk failed: stop this worker
-                        // (matching the serial driver, which aborts the
-                        // remaining samples of a failing sweep).
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(tx);
-
-        // Ordered streaming merge: push into the running statistics as the
-        // in-order frontier advances, dropping each merged vector.
-        let mut pending: std::collections::BTreeMap<usize, Vec<f64>> =
-            std::collections::BTreeMap::new();
-        let mut next = 0usize;
-        let mut outputs: Vec<RunningStats> = Vec::new();
-        let mut samples = options.keep_samples.then(|| Vec::with_capacity(n));
-        let mut first_error: Option<(usize, E)> = None;
-        let push = |outputs: &mut Vec<RunningStats>,
-                        samples: &mut Option<Vec<Vec<f64>>>,
-                        y: Vec<f64>| {
-            if outputs.is_empty() {
-                *outputs = vec![RunningStats::new(); y.len()];
-            }
-            assert_eq!(
-                y.len(),
-                outputs.len(),
-                "model output length changed between samples"
-            );
-            for (stat, &v) in outputs.iter_mut().zip(&y) {
-                stat.push(v);
-            }
-            if let Some(s) = samples.as_mut() {
-                s.push(y);
-            }
-        };
-        for (i, r) in rx {
-            match r {
-                Ok(y) => {
-                    if i == next {
-                        push(&mut outputs, &mut samples, y);
-                        next += 1;
-                        while let Some(y) = pending.remove(&next) {
-                            push(&mut outputs, &mut samples, y);
-                            next += 1;
-                        }
-                        if let Some(progress) = options.progress {
-                            progress(next, n);
-                        }
-                    } else {
-                        pending.insert(i, y);
-                    }
-                }
-                Err(e) => {
-                    if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_error = Some((i, e));
-                    }
-                }
-            }
-        }
-        // Surface a worker's own panic payload before the completeness
-        // check, so a panicking model closure is not masked by the
-        // "all samples evaluated" assertion below.
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        if let Some((_, e)) = first_error {
-            return Err(e);
-        }
-        assert_eq!(next, n, "all samples evaluated");
-        Ok((outputs, samples))
-    });
-    let (outputs, samples) = merged?;
 
     Ok(McResult {
         outputs,
@@ -482,44 +318,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_bitwise() {
-        let x = Normal::new(1.0, 0.5).unwrap();
-        let y = Uniform::new(0.0, 2.0).unwrap();
-        let dists: Vec<&dyn Distribution> = vec![&x, &y];
-        let model = |_i: usize, v: &[f64]| {
-            Ok::<_, std::convert::Infallible>(vec![3.0 * v[0] + 2.0 * v[1], v[0] * v[1]])
-        };
-        let mut gen_a = MonteCarloSampler::new(3);
-        let serial =
-            run_monte_carlo(&mut gen_a, &dists, 500, McOptions::default(), model).unwrap();
-        for threads in [1, 2, 4, 7] {
-            let mut gen_b = MonteCarloSampler::new(3);
-            let par = run_monte_carlo_parallel(
-                &mut gen_b,
-                &dists,
-                500,
-                McOptions::default(),
-                threads,
-                || model,
-            )
-            .unwrap();
-            assert_eq!(par.n_samples, serial.n_samples);
-            for k in 0..2 {
-                assert_eq!(par.means()[k], serial.means()[k], "threads={threads}");
-                assert_eq!(par.std_devs()[k], serial.std_devs()[k]);
-            }
-            assert_eq!(par.inputs, serial.inputs);
-        }
-    }
-
-    #[test]
     fn progress_is_ordered_and_serialized() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static LAST_DONE: AtomicUsize = AtomicUsize::new(0);
         static CALLS: AtomicUsize = AtomicUsize::new(0);
         fn progress(done: usize, total: usize) {
             assert_eq!(total, 40);
-            // The merge frontier is monotone: `done` never decreases.
+            // Samples are accumulated in order: `done` never decreases.
             let prev = LAST_DONE.swap(done, Ordering::SeqCst);
             assert!(done >= prev, "progress went backwards: {prev} -> {done}");
             CALLS.fetch_add(1, Ordering::SeqCst);
@@ -531,12 +336,12 @@ mod tests {
             progress: Some(progress),
             ..Default::default()
         };
-        run_monte_carlo_parallel(&mut gen, &dists, 40, options, 4, || {
-            |_: usize, v: &[f64]| Ok::<_, std::convert::Infallible>(vec![v[0]])
+        run_monte_carlo(&mut gen, &dists, 40, options, |_, v| {
+            Ok::<_, std::convert::Infallible>(vec![v[0]])
         })
         .unwrap();
         assert_eq!(LAST_DONE.load(Ordering::SeqCst), 40);
-        assert!(CALLS.load(Ordering::SeqCst) > 0);
+        assert_eq!(CALLS.load(Ordering::SeqCst), 40);
     }
 
     #[test]
@@ -559,39 +364,6 @@ mod tests {
         assert_eq!(rebuilt.means(), serial.means());
         assert_eq!(rebuilt.std_devs(), serial.std_devs());
         assert_eq!(rebuilt.inputs, serial.inputs);
-    }
-
-    #[test]
-    fn parallel_propagates_error_and_keeps_samples() {
-        let u = Uniform::new(0.0, 1.0).unwrap();
-        let dists: Vec<&dyn Distribution> = vec![&u];
-        let mut gen = MonteCarloSampler::new(1);
-        let r = run_monte_carlo_parallel(
-            &mut gen,
-            &dists,
-            32,
-            McOptions::default(),
-            4,
-            || |i: usize, _: &[f64]| if i == 17 { Err("boom") } else { Ok(vec![0.0]) },
-        );
-        assert_eq!(r.unwrap_err(), "boom");
-
-        let mut gen = MonteCarloSampler::new(1);
-        let r = run_monte_carlo_parallel(
-            &mut gen,
-            &dists,
-            10,
-            McOptions { keep_samples: true, ..Default::default() },
-            3,
-            || |i: usize, v: &[f64]| Ok::<_, std::convert::Infallible>(vec![v[0], i as f64]),
-        )
-        .unwrap();
-        let samples = r.samples.as_ref().unwrap();
-        assert_eq!(samples.len(), 10);
-        // Sample order is preserved despite chunked parallel evaluation.
-        for (i, s) in samples.iter().enumerate() {
-            assert_eq!(s[1], i as f64);
-        }
     }
 
     #[test]

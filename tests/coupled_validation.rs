@@ -82,6 +82,39 @@ fn lumped_capacity_cooling_matches_ode() {
 }
 
 #[test]
+fn implicit_euler_is_first_order_in_dt() {
+    // The copper block of `lumped_capacity_cooling_matches_ode`, run to 2τ
+    // with N, 2N and 4N steps. The spatial error is the same in every run,
+    // so it cancels in the successive differences, and
+    // log2(|T_N − T_2N| / |T_2N − T_4N|) estimates the time order.
+    let mut model = copper_block(4);
+    model.set_ambient(350.0);
+    let h = 200.0;
+    model.set_thermal_boundary(ThermalBoundary::convective(h, 300.0));
+    let tau = 3.45e6 * 1e-9 / (h * 6e-6);
+    let t_end = 2.0 * tau;
+    let n_grid = model.grid().n_nodes();
+    let mean_at_end = |steps: usize| {
+        let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
+        let sol = sim.run_transient(t_end, steps, &[t_end]).unwrap();
+        let (_, state) = &sol.snapshots[0];
+        state[..n_grid].iter().sum::<f64>() / n_grid as f64
+    };
+    let means: Vec<f64> = [25, 50, 100, 200, 400]
+        .into_iter()
+        .map(mean_at_end)
+        .collect();
+    for (i, w) in means.windows(3).enumerate() {
+        let order = ((w[0] - w[1]).abs() / (w[1] - w[2]).abs()).log2();
+        assert!(
+            (0.9..=1.1).contains(&order),
+            "observed order {order} from N = {} (means {means:?})",
+            25 << i
+        );
+    }
+}
+
+#[test]
 fn stationary_equals_long_transient_with_wire() {
     // Two pads + wire: the transient must converge to the stationary limit.
     let pad_a = BoxRegion::new((0.0, 0.0, 0.0), (0.4e-3, 0.4e-3, 0.2e-3));
