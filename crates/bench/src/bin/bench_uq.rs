@@ -20,9 +20,9 @@
 //!    before batching.
 //! 5. (`--batched`) `ensemble batched` — the multi-RHS fast path:
 //!    samples grouped into panels of `--batch-width`, each group advanced
-//!    in lock-step with one fused block-Krylov thermal solve per Picard
-//!    iterate over a group-shared preconditioner
-//!    (`etherm_core::BatchSession`).
+//!    in lock-step with one fused block-Krylov solve per subsystem and
+//!    Picard iterate over a group-shared preconditioner
+//!    (`etherm_core::run_ensemble_batched`).
 //!
 //! Gates (full profile): `session warm` ≥ 1.5× faster than `rebuild ic(1)`
 //! and max |ΔQoI| between them ≤ 1.5e-7 K; `session exact` ≡ `rebuild amg`

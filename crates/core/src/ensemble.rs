@@ -10,12 +10,13 @@
 //! for any `n_threads`). Warm mode keeps sessions hot across the samples of
 //! a chunk: preconditioners are refreshed instead of rebuilt and the
 //! thermal CG solves warm-start from the previous sample's trajectory —
-//! faster, with QoIs equal within the inner solver tolerance.
+//! faster, with QoIs equal within the inner solver tolerance. The batched
+//! path ([`run_ensemble_batched`]) runs through the same scheduler, with
+//! lock-step groups of samples in place of single samples.
 
-use crate::batch::BatchSession;
 use crate::compiled::CompiledModel;
 use crate::error::CoreError;
-use crate::session::{Session, SolveCounters};
+use crate::session::{run_fixed_step, Panel, Session, SolveCounters};
 use crate::solution::TransientSolution;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -68,7 +69,7 @@ pub trait Scenario: Sync {
 /// samples.
 ///
 /// [`run_ensemble_batched`] cannot treat [`Scenario::evaluate`] as a black
-/// box (it must own the time loop to fuse the per-step thermal solves), so
+/// box (it must own the time loop to fuse the members' linear solves), so
 /// batchable scenarios expose the transient parameters and the QoI
 /// extraction separately. [`Scenario::apply`] is inherited unchanged.
 pub trait BatchScenario: Scenario {
@@ -183,163 +184,46 @@ pub fn run_ensemble<S: Scenario>(
     samples: &[Vec<f64>],
     options: &EnsembleOptions,
 ) -> Result<EnsembleResult, CoreError> {
-    assert!(options.n_threads > 0, "run_ensemble: need ≥ 1 thread");
-    let n = samples.len();
-    if n == 0 {
-        return Ok(EnsembleResult {
-            outputs: Vec::new(),
-            counters: SolveCounters::default(),
-            failures: Vec::new(),
-        });
-    }
-    let chunk = n.div_ceil(options.n_threads).max(1);
-    let max_failures = match options.failure_policy {
-        FailurePolicy::Abort => 0,
-        FailurePolicy::Quarantine { max_failures } => max_failures,
-    };
-    // Cooperative cancellation: the lowest sample index known to abort the
-    // run, lowered by a failing worker (abort policy) or by the coordinator
-    // (quarantine overflow); workers skip every later sample. Samples before
-    // it still run, so the lowest-index failure is always found and
-    // reported, whatever the thread timing. Never lowered while a
-    // quarantine run stays within its failure tolerance, so such runs
-    // attempt every sample — the property that makes their outcome
-    // independent of the thread count.
-    let stop_after = AtomicUsize::new(usize::MAX);
-
-    type Message = (usize, Result<Vec<f64>, CoreError>);
-    let (tx, rx) = mpsc::channel::<Message>();
-    let (slots, failures, counters) = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (c, block) in samples.chunks(chunk).enumerate() {
-            let tx = tx.clone();
-            let stop_after = &stop_after;
-            handles.push(scope.spawn(move || {
-                let mut session = Session::new(Arc::clone(compiled));
-                session.set_warm_start(options.warm_start);
-                for (k, sample) in block.iter().enumerate() {
-                    let i = c * chunk + k;
-                    if i > stop_after.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if !options.warm_start {
-                        session.reset();
-                    }
-                    let result = scenario
-                        .apply_indexed(&mut session, sample, i)
-                        .and_then(|()| scenario.evaluate(&mut session));
-                    let failed = result.is_err();
-                    if failed {
-                        if max_failures == 0 {
-                            stop_after.fetch_min(i, Ordering::Relaxed);
-                        } else {
-                            // Quarantine: scrub any solver-state
-                            // contamination (NaN-poisoned guesses, degraded
-                            // preconditioners) before the next sample.
-                            session.reset();
-                        }
-                    }
-                    if tx.send((i, result)).is_err() || (failed && max_failures == 0) {
-                        break;
-                    }
-                }
-                session.counters()
-            }));
-        }
-        drop(tx);
-
-        // Merge in sample order *while the workers run*: results stream in
-        // as they complete and the serialized progress callback fires as
-        // the ordered frontier advances. Failed samples count as processed
-        // (their slot is an empty vector) so the frontier never stalls.
-        let mut slots: Vec<Option<Vec<f64>>> = (0..n).map(|_| None).collect();
-        let mut failures: Vec<SampleFailure> = Vec::new();
-        let mut done = 0usize;
-        for (i, result) in rx {
-            let y = match result {
-                Ok(y) => y,
-                Err(e) => {
-                    failures.push(SampleFailure {
-                        sample: i,
-                        error: e,
-                    });
-                    if failures.len() > max_failures {
-                        stop_after.fetch_min(i, Ordering::Relaxed);
-                    }
-                    Vec::new()
-                }
-            };
-            slots[i] = Some(y);
-            while done < n && slots[done].is_some() {
-                done += 1;
-                if let Some(progress) = options.progress {
-                    progress(done, n);
-                }
-            }
-        }
-        let counters: Vec<SolveCounters> = handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(c) => c,
-                // Re-raise the worker's own panic payload, not a new one.
-                Err(payload) => std::panic::resume_unwind(payload),
+    schedule(compiled, samples, 1, options, |worker, first, group| {
+        let session = &mut worker.members[0];
+        scenario
+            .apply_indexed(session, &group[0], first)
+            .and_then(|()| scenario.evaluate(session))
+            .map(|y| vec![y])
+            .map_err(|error| SampleFailure {
+                sample: first,
+                error,
             })
-            .collect();
-        (slots, failures, counters)
-    });
-
-    let mut failures = failures;
-    failures.sort_by_key(|f| f.sample);
-    if failures.len() > max_failures {
-        let abandoned = slots.iter().filter(|s| s.is_none()).count();
-        let n_failures = failures.len();
-        // Sorted: the lowest-index failure leads.
-        let Some(first) = failures.into_iter().next() else {
-            return Err(CoreError::InvalidModel(
-                "ensemble failure accounting out of sync".into(),
-            ));
-        };
-        return Err(CoreError::EnsembleFailed {
-            sample: first.sample,
-            failures: n_failures,
-            abandoned,
-            source: Box::new(first.error),
-        });
-    }
-
-    let outputs: Vec<Vec<f64>> = slots
-        .into_iter()
-        .map(Option::unwrap_or_default)
-        .collect();
-    let mut merged = SolveCounters::default();
-    for c in &counters {
-        merged.merge(c);
-    }
-    Ok(EnsembleResult {
-        outputs,
-        counters: merged,
-        failures,
     })
 }
 
 /// [`run_ensemble`] through the batched fast path: samples are grouped
 /// into panels of [`crate::SolverOptions::batch_width`] **globally in
-/// sample order**, each worker drives whole groups through a
-/// [`BatchSession`], and every group advances all its members per matrix
-/// traversal (see [`crate::BatchSession`]).
+/// sample order**, and each worker advances whole groups through the
+/// fixed-step transient in lock step. Every Picard iterate of a group step
+/// solves each subsystem once for all members: one block-Krylov solve over
+/// the members' same-pattern matrices with one group preconditioner, so
+/// the group shares every matrix traversal. A group of one sample runs the
+/// scalar path.
 ///
 /// Grouping is independent of `options.n_threads` and nothing crosses
 /// group boundaries, so the outputs are bit-identical for any worker
 /// count. `options.warm_start` is ignored: every group starts from reset
 /// sessions (cross-sample reuse inside a group happens through the shared
 /// preconditioner instead). A `batch_width` of 0 or 1 falls back to the
-/// scalar [`run_ensemble`] in exact mode.
+/// scalar [`run_ensemble`].
 ///
 /// # Errors
 ///
-/// Like [`run_ensemble`], with group granularity: a failing sample fails
-/// its whole group, and under [`FailurePolicy::Quarantine`] all members of
-/// the failing group are quarantined together.
+/// Like [`run_ensemble`]. A group step that fails with a retryable error
+/// (a planned fault, a breakdown, a non-finite or unconverged column, a
+/// stalled Picard loop) is redone member by member on the scalar path,
+/// with the recovery ladder, `dt`-halving and fault plans; lock step
+/// resumes at the next step. A member that still fails, or a member error
+/// that no rerun can repair (an exhausted iteration budget, an invalid
+/// parameter), fails its whole group: under [`FailurePolicy::Quarantine`]
+/// every member of the group is quarantined, and
+/// [`CoreError::EnsembleFailed`] names the member that failed.
 ///
 /// # Panics
 ///
@@ -350,11 +234,71 @@ pub fn run_ensemble_batched<S: BatchScenario>(
     samples: &[Vec<f64>],
     options: &EnsembleOptions,
 ) -> Result<EnsembleResult, CoreError> {
-    assert!(options.n_threads > 0, "run_ensemble_batched: need ≥ 1 thread");
     let width = compiled.options().batch_width;
     if width <= 1 {
         return run_ensemble(compiled, scenario, samples, options);
     }
+    let options = EnsembleOptions {
+        warm_start: false,
+        ..*options
+    };
+    let (t_end, n_steps) = (scenario.t_end(), scenario.n_steps());
+    let run_group = |worker: &mut Worker, first: usize, group: &[Vec<f64>]| {
+        let members = &mut worker.members[..group.len()];
+        for (j, (session, sample)) in members.iter_mut().zip(group).enumerate() {
+            scenario
+                .apply_indexed(session, sample, first + j)
+                .map_err(|error| SampleFailure {
+                    sample: first + j,
+                    error,
+                })?;
+        }
+        let runs = run_fixed_step(members, &mut worker.panel, t_end, n_steps, &[], None)
+            .map_err(|(j, error)| SampleFailure {
+                sample: first + j,
+                error,
+            })?;
+        Ok(runs.iter().map(|run| scenario.qoi(&run.solution)).collect())
+    };
+    schedule(compiled, samples, width, &options, run_group)
+}
+
+/// One worker's sessions: the members of its current group and their
+/// shared panel state (a single session on the scalar path).
+struct Worker {
+    members: Vec<Session>,
+    panel: Panel,
+}
+
+impl Worker {
+    /// Resets every member and the panel: the next group is independent of
+    /// everything solved before.
+    fn reset(&mut self) {
+        for m in &mut self.members {
+            m.reset();
+        }
+        self.panel.reset();
+    }
+}
+
+/// The scheduler behind [`run_ensemble`] and [`run_ensemble_batched`]:
+/// samples are cut into groups of `width` in sample order, the groups into
+/// contiguous chunks of `ceil(groups / n_threads)`, and every worker thread
+/// runs `run_group(worker, first_sample, group)` over its chunk. Outputs
+/// are merged in sample order while the workers run. A failed group
+/// quarantines all its members; the returned [`SampleFailure`] names the
+/// member to blame in [`CoreError::EnsembleFailed`].
+fn schedule<F>(
+    compiled: &Arc<CompiledModel>,
+    samples: &[Vec<f64>],
+    width: usize,
+    options: &EnsembleOptions,
+    run_group: F,
+) -> Result<EnsembleResult, CoreError>
+where
+    F: Fn(&mut Worker, usize, &[Vec<f64>]) -> Result<Vec<Vec<f64>>, SampleFailure> + Sync,
+{
+    assert!(options.n_threads > 0, "run_ensemble: need ≥ 1 thread");
     let n = samples.len();
     if n == 0 {
         return Ok(EnsembleResult {
@@ -363,84 +307,98 @@ pub fn run_ensemble_batched<S: BatchScenario>(
             failures: Vec::new(),
         });
     }
-    // Global group formation: group g holds samples [g·width, ...), for any
-    // thread count. Workers take contiguous runs of whole groups.
     let groups: Vec<&[Vec<f64>]> = samples.chunks(width).collect();
-    let n_groups = groups.len();
-    let gchunk = n_groups.div_ceil(options.n_threads).max(1);
+    let chunk = groups.len().div_ceil(options.n_threads).max(1);
     let max_failures = match options.failure_policy {
         FailurePolicy::Abort => 0,
         FailurePolicy::Quarantine { max_failures } => max_failures,
     };
-    // Lowest group index known to abort the run; see `run_ensemble`.
+    // Cooperative cancellation: the lowest group index known to abort the
+    // run, lowered by a failing worker (abort policy) or by the coordinator
+    // (quarantine overflow); workers skip every later group. Groups before
+    // it still run, so the lowest-index failure is always found and
+    // reported, whatever the thread timing. Never lowered while a
+    // quarantine run stays within its failure tolerance, so such runs
+    // attempt every group — the property that makes their outcome
+    // independent of the thread count.
     let stop_after = AtomicUsize::new(usize::MAX);
 
-    type Message = (usize, Result<Vec<Vec<f64>>, CoreError>);
+    type Message = (usize, Result<Vec<Vec<f64>>, SampleFailure>);
     let (tx, rx) = mpsc::channel::<Message>();
-    let (slots, failures, counters) = std::thread::scope(|scope| {
+    let run_group = &run_group;
+    let (slots, failures, blamed, counters) = std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for (c, block) in groups.chunks(gchunk).enumerate() {
+        for (c, block) in groups.chunks(chunk).enumerate() {
             let tx = tx.clone();
             let stop_after = &stop_after;
             handles.push(scope.spawn(move || {
-                let mut batch = BatchSession::new(compiled, width);
+                let mut worker = Worker {
+                    members: (0..width)
+                        .map(|_| Session::new(Arc::clone(compiled)))
+                        .collect(),
+                    panel: Panel::default(),
+                };
+                for m in &mut worker.members {
+                    m.set_warm_start(options.warm_start);
+                }
                 for (gk, group) in block.iter().enumerate() {
-                    let g = c * gchunk + gk;
+                    let g = c * chunk + gk;
                     if g > stop_after.load(Ordering::Relaxed) {
                         break;
                     }
-                    batch.reset();
-                    let k = group.len();
-                    let result: Result<Vec<Vec<f64>>, CoreError> = (|| {
-                        for (j, sample) in group.iter().enumerate() {
-                            scenario.apply_indexed(
-                                &mut batch.sessions_mut()[j],
-                                sample,
-                                g * width + j,
-                            )?;
-                        }
-                        let sols =
-                            batch.run_transient(k, scenario.t_end(), scenario.n_steps())?;
-                        Ok(sols.iter().map(|s| scenario.qoi(s)).collect())
-                    })();
+                    if !options.warm_start {
+                        worker.reset();
+                    }
+                    let result = run_group(&mut worker, g * width, group);
                     let failed = result.is_err();
                     if failed {
                         if max_failures == 0 {
                             stop_after.fetch_min(g, Ordering::Relaxed);
                         } else {
-                            // Quarantine: scrub the whole group's state.
-                            batch.reset();
+                            // Quarantine: scrub any solver-state
+                            // contamination (NaN-poisoned guesses, degraded
+                            // preconditioners) before the next group.
+                            worker.reset();
                         }
                     }
                     if tx.send((g, result)).is_err() || (failed && max_failures == 0) {
                         break;
                     }
                 }
-                batch.counters()
+                let mut counters = SolveCounters::default();
+                for m in &worker.members {
+                    counters.merge(&m.counters());
+                }
+                counters
             }));
         }
         drop(tx);
 
+        // Merge in sample order *while the workers run*: results stream in
+        // as they complete and the serialized progress callback fires as
+        // the ordered frontier advances. Failed samples count as processed
+        // (their slot is an empty vector) so the frontier never stalls.
         let mut slots: Vec<Option<Vec<f64>>> = (0..n).map(|_| None).collect();
         let mut failures: Vec<SampleFailure> = Vec::new();
+        let mut blamed: Vec<SampleFailure> = Vec::new();
         let mut done = 0usize;
         for (g, result) in rx {
-            let base = g * width;
-            let k = groups[g].len();
+            let first = g * width;
             match result {
                 Ok(ys) => {
                     for (j, y) in ys.into_iter().enumerate() {
-                        slots[base + j] = Some(y);
+                        slots[first + j] = Some(y);
                     }
                 }
-                Err(e) => {
-                    for j in 0..k {
+                Err(failure) => {
+                    for i in first..first + groups[g].len() {
                         failures.push(SampleFailure {
-                            sample: base + j,
-                            error: e.clone(),
+                            sample: i,
+                            error: failure.error.clone(),
                         });
-                        slots[base + j] = Some(Vec::new());
+                        slots[i] = Some(Vec::new());
                     }
+                    blamed.push(failure);
                     if failures.len() > max_failures {
                         stop_after.fetch_min(g, Ordering::Relaxed);
                     }
@@ -457,25 +415,26 @@ pub fn run_ensemble_batched<S: BatchScenario>(
             .into_iter()
             .map(|h| match h.join() {
                 Ok(c) => c,
+                // Re-raise the worker's own panic payload, not a new one.
                 Err(payload) => std::panic::resume_unwind(payload),
             })
             .collect();
-        (slots, failures, counters)
+        (slots, failures, blamed, counters)
     });
 
     let mut failures = failures;
     failures.sort_by_key(|f| f.sample);
     if failures.len() > max_failures {
         let abandoned = slots.iter().filter(|s| s.is_none()).count();
-        let n_failures = failures.len();
-        let Some(first) = failures.into_iter().next() else {
+        // The member to blame in the lowest-index failed group leads.
+        let Some(first) = blamed.into_iter().min_by_key(|f| f.sample) else {
             return Err(CoreError::InvalidModel(
                 "ensemble failure accounting out of sync".into(),
             ));
         };
         return Err(CoreError::EnsembleFailed {
             sample: first.sample,
-            failures: n_failures,
+            failures: failures.len(),
             abandoned,
             source: Box::new(first.error),
         });
@@ -939,6 +898,171 @@ mod tests {
         );
         assert!(r.outputs[2].is_empty() && r.outputs[3].is_empty());
         assert!(!r.outputs[0].is_empty() && !r.outputs[4].is_empty());
+    }
+
+    #[test]
+    fn batched_failure_names_the_failing_member() {
+        let compiled = Arc::new(
+            CompiledModel::compile(wire_model(), pinned_options(2)).unwrap(),
+        );
+        let err = run_ensemble_batched(
+            &compiled,
+            &FailAt(&[1]),
+            &samples(),
+            &EnsembleOptions::default(),
+        )
+        .unwrap_err();
+        match err {
+            CoreError::EnsembleFailed {
+                sample, failures, ..
+            } => {
+                assert_eq!(sample, 1);
+                assert_eq!(failures, 2);
+            }
+            other => panic!("expected EnsembleFailed, got {other}"),
+        }
+    }
+
+    /// [`LengthScenario`] with `plan` installed on sample `target` only.
+    struct FaultOn {
+        target: usize,
+        plan: etherm_numerics::solvers::FaultPlan,
+    }
+    impl Scenario for FaultOn {
+        fn apply(&self, session: &mut Session, sample: &[f64]) -> Result<(), CoreError> {
+            LengthScenario.apply(session, sample)
+        }
+        fn apply_indexed(
+            &self,
+            session: &mut Session,
+            sample: &[f64],
+            index: usize,
+        ) -> Result<(), CoreError> {
+            session.set_fault_plan((index == self.target).then(|| self.plan.clone()));
+            self.apply(session, sample)
+        }
+        fn evaluate(&self, session: &mut Session) -> Result<Vec<f64>, CoreError> {
+            LengthScenario.evaluate(session)
+        }
+    }
+    impl BatchScenario for FaultOn {
+        fn t_end(&self) -> f64 {
+            LengthScenario.t_end()
+        }
+        fn n_steps(&self) -> usize {
+            LengthScenario.n_steps()
+        }
+        fn qoi(&self, solution: &TransientSolution) -> Vec<f64> {
+            LengthScenario.qoi(solution)
+        }
+    }
+
+    /// Four samples at batch width 2 on the pinned campaign options.
+    fn batched_pair(options: SolverOptions) -> (Arc<CompiledModel>, Vec<Vec<f64>>) {
+        let compiled = Arc::new(CompiledModel::compile(wire_model(), options).unwrap());
+        (compiled, samples()[..4].to_vec())
+    }
+
+    #[test]
+    fn batched_enforces_the_iteration_budget() {
+        let mut options = pinned_options(2);
+        options.recovery.linear_iteration_budget = 5;
+        let (compiled, samples) = batched_pair(options);
+        let err = run_ensemble_batched(
+            &compiled,
+            &LengthScenario,
+            &samples,
+            &EnsembleOptions::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CoreError::EnsembleFailed { .. }), "{err}");
+        let mut source: Option<&dyn std::error::Error> = Some(&err);
+        let mut budget = false;
+        while let Some(e) = source {
+            if let Some(CoreError::BudgetExhausted { budget: 5, .. }) = e.downcast_ref() {
+                budget = true;
+            }
+            source = e.source();
+        }
+        assert!(budget, "no BudgetExhausted in the source chain of {err}");
+    }
+
+    #[test]
+    fn batched_quarantines_a_saturating_fault() {
+        use etherm_numerics::solvers::{FaultKind, FaultPlan};
+        let (compiled, samples) = batched_pair(pinned_options(2));
+        let clean = run_ensemble_batched(
+            &compiled,
+            &LengthScenario,
+            &samples,
+            &EnsembleOptions::default(),
+        )
+        .unwrap();
+        let poisoned = FaultOn {
+            target: 1,
+            plan: FaultPlan::saturating(FaultKind::Nan),
+        };
+        let r = run_ensemble_batched(
+            &compiled,
+            &poisoned,
+            &samples,
+            &EnsembleOptions {
+                failure_policy: FailurePolicy::Quarantine { max_failures: 2 },
+                ..EnsembleOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            r.failures.iter().map(|f| f.sample).collect::<Vec<_>>(),
+            vec![0, 1]
+        );
+        assert_eq!(r.outputs[2..], clean.outputs[2..]);
+    }
+
+    #[test]
+    fn batched_absorbs_a_one_shot_fault() {
+        use etherm_numerics::solvers::{Fault, FaultKind, FaultPlan};
+        let (compiled, samples) = batched_pair(pinned_options(2));
+        let clean = run_ensemble_batched(
+            &compiled,
+            &LengthScenario,
+            &samples,
+            &EnsembleOptions::default(),
+        )
+        .unwrap();
+        assert!(!clean.counters.recovery.any());
+        let one_shot = FaultOn {
+            target: 1,
+            plan: FaultPlan::new(vec![Fault {
+                solve: 0,
+                apply: 0,
+                kind: FaultKind::Nan,
+            }]),
+        };
+        let mut reference: Option<EnsembleResult> = None;
+        for threads in [1, 2, 4] {
+            let r = run_ensemble_batched(
+                &compiled,
+                &one_shot,
+                &samples,
+                &EnsembleOptions {
+                    n_threads: threads,
+                    ..EnsembleOptions::default()
+                },
+            )
+            .unwrap();
+            assert!(r.failures.is_empty());
+            assert!(r.counters.recovery.any(), "threads = {threads}");
+            for (i, (a, b)) in clean.outputs.iter().zip(&r.outputs).enumerate() {
+                assert!((a[0] - b[0]).abs() < 1e-6, "sample {i}: {} vs {}", a[0], b[0]);
+            }
+            if let Some(reference) = &reference {
+                assert_eq!(r.outputs, reference.outputs, "threads = {threads}");
+                assert_eq!(r.counters, reference.counters, "threads = {threads}");
+            } else {
+                reference = Some(r);
+            }
+        }
     }
 
     #[test]

@@ -56,13 +56,15 @@ pub enum CoreError {
     /// [`crate::FailurePolicy::Abort`], or quarantine overflowed
     /// `max_failures`.
     EnsembleFailed {
-        /// Lowest-index failed sample.
+        /// The failed sample with the lowest index. On the batched path,
+        /// where a sample fails its whole group, the member whose apply or
+        /// step failed in the lowest-index failed group.
         sample: usize,
         /// Total failed samples observed before the abort.
         failures: usize,
         /// Samples never attempted because of the abort.
         abandoned: usize,
-        /// The error of the lowest-index failed sample.
+        /// The error of that sample.
         source: Box<CoreError>,
     },
 }

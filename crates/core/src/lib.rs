@@ -39,7 +39,6 @@
 
 mod adaptive;
 mod assembly;
-mod batch;
 mod compiled;
 pub mod ensemble;
 mod error;
@@ -55,7 +54,6 @@ mod simulator;
 mod solution;
 
 pub use adaptive::AdaptiveOptions;
-pub use batch::BatchSession;
 pub use compiled::CompiledModel;
 pub use ensemble::{
     run_ensemble, run_ensemble_batched, BatchScenario, EnsembleOptions, EnsembleResult,

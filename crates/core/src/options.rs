@@ -191,12 +191,15 @@ pub struct SolverOptions {
     pub precond_droptol: f64,
     /// Escalation ladder applied when an inner solve fails.
     pub recovery: RecoveryPolicy,
-    /// Panel width of the batched ensemble fast path: a batched campaign
-    /// groups this many same-model samples per worker and advances all of
-    /// them through one fused multi-RHS thermal solve per Picard iterate
-    /// (`crate::BatchSession`). `0` or `1` disables batching — the scalar
-    /// per-sample path stays the default, and exact-mode campaigns are
-    /// unaffected either way. Typical sweet spot: 8–32.
+    /// Panel width of the batched ensemble fast path
+    /// ([`crate::run_ensemble_batched`]): a batched campaign groups this
+    /// many same-model samples per worker and advances them in lock step,
+    /// with one fused multi-RHS solve per subsystem (electrical and
+    /// thermal) per Picard iterate. A group step that fails is redone
+    /// sample by sample with the full recovery ladder. `0` or `1` disables
+    /// batching — the scalar per-sample path stays the default, and
+    /// exact-mode campaigns are unaffected either way. Typical sweet spot:
+    /// 8–32.
     pub batch_width: usize,
 }
 

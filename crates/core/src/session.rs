@@ -24,6 +24,14 @@
 //!   update increment. Warm starts and preconditioner state only change
 //!   *iteration counts*; the converged physics agrees with the exact mode
 //!   within the inner solver tolerance.
+//!
+//! One driver serves a single session and a lock-step panel of sessions:
+//! the fixed-step run loop (`run_fixed_step`) and the coupled Picard loop
+//! (`coupled_solve`) take `k ≥ 1` members. [`Session::run_transient`] is
+//! the `k = 1` case, solving through the recovery ladder; the batched
+//! ensemble runs `k = batch_width` members, whose linear solves of each
+//! Picard iterate are fused into one block solve, and redoes a failing
+//! panel step member by member at `k = 1`.
 
 use crate::assembly::{self, CoeffBufs};
 use crate::compiled::CompiledModel;
@@ -34,19 +42,19 @@ use crate::solution::TransientSolution;
 use etherm_bondwire::stamp::wire_joule_heat;
 use etherm_fit::CachedStamper;
 use etherm_numerics::solvers::{
-    pcg_with, AmgOptions, AmgPrecond, AmgSmoother, CgOptions, FaultInjector, FaultPlan,
-    FaultyLinOp, IdentityPrecond, IncompleteCholesky, JacobiPrecond, KrylovWorkspace,
-    Preconditioner, SolveReport, Ssor,
+    block_pcg_with, pcg_with, AmgOptions, AmgPrecond, AmgSmoother, BlockKrylovWorkspace,
+    CgOptions, FaultInjector, FaultPlan, FaultyLinOp, IdentityPrecond, IncompleteCholesky,
+    JacobiPrecond, KrylovWorkspace, Preconditioner, SolveReport, Ssor,
 };
 use etherm_numerics::sparse::Csr;
-use etherm_numerics::{vector, MultiVec, NumericsError};
+use etherm_numerics::{vector, CsrBatch, MultiVec, NumericsError};
 use std::sync::Arc;
 
 /// A cached preconditioner of the kind selected in
 /// [`SolverOptions::preconditioner`], refreshable in place over the frozen
 /// assembly pattern.
 #[derive(Debug, Clone)]
-pub(crate) enum CachedPrecond {
+enum CachedPrecond {
     Identity(IdentityPrecond),
     Jacobi(JacobiPrecond),
     Ic(IncompleteCholesky),
@@ -57,7 +65,7 @@ pub(crate) enum CachedPrecond {
 impl CachedPrecond {
     /// Builds a preconditioner of an explicit kind — the recovery ladder's
     /// downgrade rung builds a *different* kind than the configured one.
-    pub(crate) fn build_kind(
+    fn build_kind(
         kind: PrecondKind,
         options: &SolverOptions,
         a: &Csr,
@@ -82,7 +90,7 @@ impl CachedPrecond {
         })
     }
 
-    pub(crate) fn refresh(&mut self, a: &Csr) -> Result<(), NumericsError> {
+    fn refresh(&mut self, a: &Csr) -> Result<(), NumericsError> {
         match self {
             CachedPrecond::Identity(_) => Ok(()),
             CachedPrecond::Jacobi(p) => p.refresh(a),
@@ -93,7 +101,7 @@ impl CachedPrecond {
     }
 
     /// Coarsest-level dimension of an AMG hierarchy (`None` otherwise).
-    pub(crate) fn coarse_dim(&self) -> Option<usize> {
+    fn coarse_dim(&self) -> Option<usize> {
         match self {
             CachedPrecond::Amg(p) => Some(p.coarse_dim()),
             _ => None,
@@ -619,7 +627,7 @@ impl Session {
         if !(dt > 0.0 && dt.is_finite()) {
             return Err(CoreError::InvalidModel(format!("invalid time step {dt}")));
         }
-        self.coupled_solve(t_prev, Some(dt), phi_warm, step_index)
+        self.solve_coupled(t_prev, Some(dt), phi_warm, step_index)
     }
 
     /// Solves the stationary coupled problem (steady state).
@@ -638,7 +646,7 @@ impl Session {
         let t0 = self.initial_temperature();
         let mut phi = vec![0.0; self.compiled.layout().n_total()];
         self.begin_recovery_run();
-        let r = self.coupled_solve(&t0, None, &mut phi, 0)?;
+        let r = self.solve_coupled(&t0, None, &mut phi, 0)?;
         Ok(StationaryResult {
             temperature: r.temperature,
             potential: r.potential,
@@ -702,171 +710,18 @@ impl Session {
         t_end: f64,
         n_steps: usize,
         snapshot_times: &[f64],
-        mut observer: Option<&mut dyn StepObserver>,
+        observer: Option<&mut dyn StepObserver>,
     ) -> Result<ObservedTransient, CoreError> {
-        assert!(n_steps > 0, "need at least one step");
-        assert!(t_end > 0.0, "end time must be positive");
-        let dt = t_end / n_steps as f64;
-        let compiled = Arc::clone(&self.compiled);
-        let layout = compiled.layout();
-        let n_wires = self.wires.len();
-        let n_total = layout.n_total();
-
-        // Map snapshot times to step indices.
-        let snap_indices: Vec<usize> = snapshot_times
-            .iter()
-            .map(|&t| ((t / dt).round() as usize).min(n_steps))
-            .collect();
-
-        self.begin_transient_run();
-
-        let mut t_state = self.initial_temperature();
-        let mut phi = vec![0.0; n_total];
-        let mut solution = TransientSolution {
-            times: Vec::with_capacity(n_steps + 1),
-            wire_temperatures: vec![Vec::with_capacity(n_steps + 1); n_wires],
-            wire_powers: vec![Vec::with_capacity(n_steps + 1); n_wires],
-            field_power: Vec::with_capacity(n_steps + 1),
-            picard_iterations: Vec::with_capacity(n_steps),
-            linear_iterations: 0,
-            snapshots: Vec::new(),
-        };
-
-        let record = |sol: &mut TransientSolution,
-                      time: f64,
-                      state: &[f64],
-                      powers: &[f64],
-                      fp: f64| {
-            sol.times.push(time);
-            for j in 0..n_wires {
-                sol.wire_temperatures[j]
-                    .push(layout.topology(j).average_temperature(state));
-                sol.wire_powers[j].push(powers.get(j).copied().unwrap_or(0.0));
-            }
-            sol.field_power.push(fp);
-        };
-
-        record(&mut solution, 0.0, &t_state, &vec![0.0; n_wires], 0.0);
-        if snap_indices.contains(&0) {
-            solution.snapshots.push((0.0, t_state.clone()));
-        }
-
-        // Observer bookkeeping (allocated only when observing — the
-        // unobserved path stays byte-for-byte the historical loop).
-        let mut stopped_early = false;
-        let mut crossing_time = None;
-        let mut bisection_steps = 0usize;
-        let mut wire_buf: Vec<f64> = Vec::new();
-        let mut stop = false;
-        if let Some(obs) = observer.as_deref_mut() {
-            wire_buf.clear();
-            for j in 0..n_wires {
-                wire_buf.push(solution.wire_temperatures[j][0]);
-            }
-            let action = obs.observe(&StepRecord {
-                step: 0,
-                time: 0.0,
-                dt: 0.0,
-                wire_temperatures: &wire_buf,
-                temperature: &t_state,
-            });
-            match action {
-                ObserverAction::Continue => {}
-                ObserverAction::Stop => stop = true,
-                ObserverAction::StopAndBisect { .. } => {
-                    // The initial state already violates the limit: the
-                    // crossing is at t = 0, nothing to bisect.
-                    crossing_time = Some(0.0);
-                    stop = true;
-                }
-            }
-            stopped_early = stop;
-        }
-
-        let mut steps_executed = 0usize;
-        let max_halvings = self.compiled.options().recovery.max_dt_halvings;
-        for step in 1..=n_steps {
-            if stop {
-                break;
-            }
-            let result = self
-                .step_recovering(&t_state, dt, &mut phi, step, max_halvings)
-                .map_err(|e| CoreError::StepFailed {
-                    step,
-                    time: dt * (step - 1) as f64,
-                    source: Box::new(e),
-                })?;
-            steps_executed = step;
-            let time = dt * step as f64;
-            record(
-                &mut solution,
-                time,
-                &result.temperature,
-                &result.wire_powers,
-                result.field_power,
-            );
-            solution.picard_iterations.push(result.picard_iterations);
-            solution.linear_iterations += result.linear_iterations;
-            if snap_indices.contains(&step) {
-                solution.snapshots.push((time, result.temperature.clone()));
-            }
-            if let Some(obs) = observer.as_deref_mut() {
-                wire_buf.clear();
-                for j in 0..n_wires {
-                    wire_buf.push(solution.wire_temperatures[j][step]);
-                }
-                let action = obs.observe(&StepRecord {
-                    step,
-                    time,
-                    dt,
-                    wire_temperatures: &wire_buf,
-                    temperature: &result.temperature,
-                });
-                match action {
-                    ObserverAction::Continue => {}
-                    ObserverAction::Stop => {
-                        stopped_early = true;
-                        stop = true;
-                    }
-                    ObserverAction::StopAndBisect {
-                        threshold,
-                        bisections,
-                    } => {
-                        stopped_early = true;
-                        stop = true;
-                        let y_hi = wire_buf
-                            .iter()
-                            .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-                        let y_lo = (0..n_wires)
-                            .map(|j| solution.wire_temperatures[j][step - 1])
-                            .fold(f64::NEG_INFINITY, f64::max);
-                        // `t_state` still holds the step-start state here —
-                        // the bracket the bisection re-steps from.
-                        let (t_cross, substeps) = self.bisect_crossing(
-                            &t_state,
-                            time - dt,
-                            dt,
-                            y_lo,
-                            y_hi,
-                            threshold,
-                            bisections,
-                            &mut phi,
-                            step,
-                        )?;
-                        crossing_time = Some(t_cross);
-                        bisection_steps = substeps;
-                    }
-                }
-            }
-            t_state = result.temperature;
-        }
-        Ok(ObservedTransient {
-            solution,
-            steps_executed,
-            bisection_steps,
-            stopped_early,
-            crossing_time,
-        })
+        run_fixed_step(
+            std::slice::from_mut(self),
+            &mut Panel::default(),
+            t_end,
+            n_steps,
+            snapshot_times,
+            observer,
+        )
+        .map(|mut runs| runs.swap_remove(0))
+        .map_err(|(_, e)| e)
     }
 
     /// Invalidates the extrapolation history of any previous transient (the
@@ -999,85 +854,59 @@ impl Session {
         Ok((t_start + lo + fraction * (hi - lo), substeps))
     }
 
-    /// The coupled Picard loop shared by [`Session::step`] (`dt = Some`)
-    /// and [`Session::solve_stationary`] (`dt = None`).
-    fn coupled_solve(
+    /// [`coupled_solve`] for this session alone (`dt = None`: stationary).
+    fn solve_coupled(
         &mut self,
         t_prev: &[f64],
         dt: Option<f64>,
         phi_warm: &mut [f64],
         step_index: usize,
     ) -> Result<StepResult, CoreError> {
-        let n_total = self.compiled.layout().n_total();
-        assert_eq!(t_prev.len(), n_total, "state length");
-        let options = self.compiled.options().clone();
-        let predict = self.begin_coupled(t_prev, dt);
-        let mut linear_total = 0usize;
-        let mut field_power = 0.0;
-        let mut converged = false;
-        let mut iterations = 0usize;
-        let mut update = f64::INFINITY;
-
-        let mut elec_solved = false;
-        for k in 1..=options.picard_max_iter {
-            iterations = k;
-            if !elec_solved || options.resolve_electrical_every_picard {
-                linear_total += self.solve_electrical(phi_warm)?;
-                elec_solved = true;
-            }
-            field_power = self.heat_sources(phi_warm);
-            linear_total += self.solve_thermal(t_prev, dt, predict && k == 1, step_index, k)?;
-            update = self.picard_update_and_swap();
-            if update <= options.picard_tol {
-                converged = true;
-                break;
-            }
-        }
-        self.note_picard(iterations);
-        if !converged && options.strict_picard {
-            return Err(CoreError::PicardNotConverged {
-                step: step_index,
-                update,
-            });
-        }
-        self.record_step_history(t_prev, dt);
-        Ok(StepResult {
-            temperature: self.scratch.t_star.clone(),
-            potential: phi_warm.to_vec(),
-            picard_iterations: iterations,
-            linear_iterations: linear_total,
-            converged,
-            wire_powers: self.scratch.wire_powers.clone(),
-            field_power,
-        })
+        coupled_solve(
+            std::slice::from_mut(self),
+            &[t_prev],
+            &mut [phi_warm],
+            dt,
+            step_index,
+            &mut Panel::default(),
+        )
+        .map(|mut results| results.swap_remove(0))
+        .map_err(StepError::into_error)
     }
 
     /// Solves the electrical subsystem at the lagged temperature
-    /// `scratch.t_star`. `phi_warm` (full numbering) is used as the initial
-    /// guess and updated in place with the solution. The lagged
+    /// `scratch.t_star`, warm-starting from and writing to `phi_warm`.
+    #[cfg(test)]
+    fn solve_electrical(&mut self, phi_warm: &mut [f64]) -> Result<usize, CoreError> {
+        if !self.assemble_electrical(phi_warm)? {
+            return Ok(0);
+        }
+        let iterations = self.solve_alone(Subsystem::Electrical)?;
+        self.expand_potential(phi_warm);
+        Ok(iterations)
+    }
+
+    /// The electrical assembly of one Picard iterate: conductivity
+    /// averaging at the lagged temperature `scratch.t_star`, stamping over
+    /// the cached template, and the reduced CG initial guess (the
+    /// restriction of `phi_warm` into `scratch.x_red`). The lagged
     /// conductivities stay behind in the coefficient buffers for the
-    /// heat-source evaluation.
-    pub(crate) fn solve_electrical(&mut self, phi_warm: &mut [f64]) -> Result<usize, CoreError> {
+    /// heat-source evaluation. Returns `false` when the model is undriven —
+    /// the potential is then identically zero, `phi_warm` has been zeroed,
+    /// and no solve is needed.
+    fn assemble_electrical(&mut self, phi_warm: &mut [f64]) -> Result<bool, CoreError> {
         let Session {
             compiled,
             wires,
-            drive_scale,
             elec_stamper,
-            elec_solver,
             scratch,
-            counters,
-            fault,
-            budget_spent,
-            budget_override,
             ..
         } = self;
         let model = compiled.model();
         assembly::fill_sigma(model, &scratch.t_star, &mut scratch.coeff);
-
         if model.electric_dirichlet().is_empty() {
-            // No drive: the potential is identically zero.
             phi_warm.fill(0.0);
-            return Ok(0);
+            return Ok(false);
         }
         let Some(stamper) = elec_stamper.as_mut() else {
             // CompiledModel records the template whenever Dirichlet drives
@@ -1094,40 +923,31 @@ impl Session {
             &scratch.coeff,
             stamper,
         );
-        let (a, b) = stamper.finish();
+        let _ = stamper.finish();
         compiled.elec_map().restrict_into(phi_warm, &mut scratch.x_red);
-        let iterations = solve_reduced(
-            compiled.options(),
-            counters,
-            elec_solver,
-            Subsystem::Electrical,
-            a,
-            b,
-            &mut scratch.x_red,
-            fault.as_ref(),
-            budget_spent,
-            *budget_override,
-        )?;
-        // Expansion must insert the *scaled* Dirichlet potentials so the
-        // heat-source evaluation sees the same drive the assembly condensed
-        // against. `1.0 × v` is bitwise `v`, so the unscaled path stays
-        // bit-identical.
-        if *drive_scale == 1.0 {
-            compiled.elec_map().expand_into(&scratch.x_red, phi_warm);
+        Ok(true)
+    }
+
+    /// Expands the solved reduced potential in `scratch.x_red` into the
+    /// full `phi_warm`. Expansion must insert the *scaled* Dirichlet
+    /// potentials so the heat-source evaluation sees the same drive the
+    /// assembly condensed against. `1.0 × v` is bitwise `v`, so the
+    /// unscaled path stays bit-identical.
+    fn expand_potential(&self, phi_warm: &mut [f64]) {
+        let map = self.compiled.elec_map();
+        if self.drive_scale == 1.0 {
+            map.expand_into(&self.scratch.x_red, phi_warm);
         } else {
-            compiled
-                .elec_map()
-                .expand_scaled_into(&scratch.x_red, phi_warm, *drive_scale);
+            map.expand_scaled_into(&self.scratch.x_red, phi_warm, self.drive_scale);
         }
-        Ok(iterations)
     }
 
     /// Heat sources (W per DoF) from field Joule heating and wire
     /// self-heating into `scratch.q` / `scratch.wire_powers`; returns the
     /// total field Joule power. Uses the conductivities left in the
-    /// coefficient buffers by the last electrical solve and the potential
-    /// in `phi`.
-    pub(crate) fn heat_sources(&mut self, phi: &[f64]) -> f64 {
+    /// coefficient buffers by the last electrical assembly and the
+    /// potential in `phi`.
+    fn heat_sources(&mut self, phi: &[f64]) -> f64 {
         let Session {
             compiled,
             wires,
@@ -1169,80 +989,22 @@ impl Session {
         field_power
     }
 
-    /// Assembles and solves the thermal system for one Picard iterate at
-    /// the lagged temperature `scratch.t_star`, writing the new temperature
-    /// to `scratch.t_new`.
+    /// The thermal assembly of one Picard iterate: stamps the thermal
+    /// system at the lagged temperature `scratch.t_star` and leaves the CG
+    /// initial guess in `scratch.x_red`.
     ///
     /// `dt = None` means stationary (no mass term); `t_prev` is the
     /// previous time level (ignored when stationary). In warm mode the CG
     /// initial guess is improved by transplanting the previous run's
     /// solution increment at the same `(step_index, picard_k)` position.
-    fn solve_thermal(
+    fn assemble_thermal(
         &mut self,
         t_prev: &[f64],
         dt: Option<f64>,
         use_predictor: bool,
         step_index: usize,
         picard_k: usize,
-    ) -> Result<usize, CoreError> {
-        self.assemble_thermal(t_prev, dt, use_predictor, step_index, picard_k)?;
-        let Session {
-            compiled,
-            therm_stamper,
-            therm_stationary_stamper,
-            therm_solver,
-            therm_stationary_solver,
-            scratch,
-            counters,
-            fault,
-            budget_spent,
-            budget_override,
-            ..
-        } = self;
-        let (stamper, cache, system) = if dt.is_some() {
-            (&*therm_stamper, therm_solver, Subsystem::ThermalTransient)
-        } else {
-            (
-                &*therm_stationary_stamper,
-                therm_stationary_solver,
-                Subsystem::ThermalStationary,
-            )
-        };
-        let Some((a, b)) = stamper.assembled() else {
-            return Err(CoreError::InvalidModel(
-                "thermal system not assembled".into(),
-            ));
-        };
-        let iterations = solve_reduced(
-            compiled.options(),
-            counters,
-            cache,
-            system,
-            a,
-            b,
-            &mut scratch.x_red,
-            fault.as_ref(),
-            budget_spent,
-            *budget_override,
-        )?;
-        self.accept_thermal(dt, step_index);
-        Ok(iterations)
-    }
-
-    /// The assembly-and-guess half of [`Session::solve_thermal`]: stamps the
-    /// thermal system for one Picard iterate at the lagged temperature
-    /// `scratch.t_star` and leaves the CG initial guess in `scratch.x_red`.
-    /// The assembled system is readable afterwards through
-    /// [`Session::thermal_assembled`]; the batched ensemble path gathers one
-    /// such system per panel column before a single block solve.
-    pub(crate) fn assemble_thermal(
-        &mut self,
-        t_prev: &[f64],
-        dt: Option<f64>,
-        use_predictor: bool,
-        step_index: usize,
-        picard_k: usize,
-    ) -> Result<(), CoreError> {
+    ) {
         let Session {
             compiled,
             wires,
@@ -1276,7 +1038,7 @@ impl Session {
             stamper,
         );
         // Compile the pattern on the first round and validate the stamping
-        // sequence; the returned borrows are re-read via `assembled()`.
+        // sequence; the solve re-reads the system via `assembled()`.
         let _ = stamper.finish();
         // CG initial guess: the lagged temperature, or — for the first
         // Picard iterate of a continuation step — the linear extrapolation
@@ -1331,13 +1093,12 @@ impl Session {
                 }
             }
         }
-        Ok(())
     }
 
-    /// The acceptance half of [`Session::solve_thermal`]: records the warm
-    /// trajectory entry for the reduced solution in `scratch.x_red` and
-    /// expands it to the full-numbering `scratch.t_new`.
-    pub(crate) fn accept_thermal(&mut self, dt: Option<f64>, step_index: usize) {
+    /// Accepts the thermal solution in `scratch.x_red`: records the warm
+    /// trajectory entry and expands it to the full-numbering
+    /// `scratch.t_new`.
+    fn accept_thermal(&mut self, dt: Option<f64>, step_index: usize) {
         let Session {
             compiled,
             scratch,
@@ -1358,18 +1119,12 @@ impl Session {
     /// for a continuation step with an unchanged `dt`, the extrapolated
     /// first-iterate thermal guess `t_guess ← 2·t_prev − t_hist`. Returns
     /// whether the predictor is valid.
-    pub(crate) fn begin_coupled(&mut self, t_prev: &[f64], dt: Option<f64>) -> bool {
-        {
-            let s = &mut self.scratch;
-            s.t_star.clear();
-            s.t_star.extend_from_slice(t_prev);
-        }
-        let predict = match dt {
-            Some(d) => self.scratch.t_hist.len() == t_prev.len() && self.scratch.last_dt == d,
-            None => false,
-        };
+    fn begin_coupled(&mut self, t_prev: &[f64], dt: Option<f64>) -> bool {
+        let s = &mut self.scratch;
+        s.t_star.clear();
+        s.t_star.extend_from_slice(t_prev);
+        let predict = dt.is_some_and(|d| s.t_hist.len() == t_prev.len() && s.last_dt == d);
         if predict {
-            let s = &mut self.scratch;
             s.t_guess.clear();
             s.t_guess
                 .extend(t_prev.iter().zip(&s.t_hist).map(|(&a, &b)| 2.0 * a - b));
@@ -1380,20 +1135,15 @@ impl Session {
     /// Completes one Picard iterate: the relative update between the new
     /// and lagged temperature, then `t_star ↔ t_new` so `t_star` holds the
     /// accepted iterate.
-    pub(crate) fn picard_update_and_swap(&mut self) -> f64 {
+    fn picard_update_and_swap(&mut self) -> f64 {
         let update = vector::rel_diff2(&self.scratch.t_new, &self.scratch.t_star, 1e-9);
         std::mem::swap(&mut self.scratch.t_star, &mut self.scratch.t_new);
         update
     }
 
-    /// Charges `iterations` outer Picard iterations to the counters.
-    pub(crate) fn note_picard(&mut self, iterations: usize) {
-        self.counters.picard_iterations += iterations;
-    }
-
     /// Records the step-start state and step size that validate the next
     /// step's extrapolated thermal guess (transient only).
-    pub(crate) fn record_step_history(&mut self, t_prev: &[f64], dt: Option<f64>) {
+    fn record_step_history(&mut self, t_prev: &[f64], dt: Option<f64>) {
         if let Some(d) = dt {
             let s = &mut self.scratch;
             s.t_hist.clear();
@@ -1402,128 +1152,670 @@ impl Session {
         }
     }
 
-    /// The transient thermal system assembled by the last
-    /// [`Session::assemble_thermal`] round (`None` before the first).
-    pub(crate) fn thermal_assembled(&self) -> Option<(&Csr, &[f64])> {
-        self.therm_stamper.assembled()
-    }
-
-    /// The assembly half of [`Session::solve_electrical`]: conductivity
-    /// averaging, stamping over the cached template, and the reduced CG
-    /// initial guess (the restriction of `phi_warm` into `scratch.x_red`).
-    /// Returns `false` when the model is undriven — the potential is then
-    /// identically zero, `phi_warm` has been zeroed, and no solve is needed.
-    pub(crate) fn assemble_electrical(
-        &mut self,
-        phi_warm: &mut [f64],
-    ) -> Result<bool, CoreError> {
-        let Session {
-            compiled,
-            wires,
-            elec_stamper,
-            scratch,
-            ..
-        } = self;
-        let model = compiled.model();
-        assembly::fill_sigma(model, &scratch.t_star, &mut scratch.coeff);
-        if model.electric_dirichlet().is_empty() {
-            phi_warm.fill(0.0);
-            return Ok(false);
+    /// The recovery policy of this session's runs: the compiled options'
+    /// policy under the [`Session::set_iteration_budget`] override.
+    fn recovery(&self) -> RecoveryPolicy {
+        RecoveryPolicy {
+            linear_iteration_budget: self.iteration_budget(),
+            ..self.compiled.options().recovery
         }
-        let Some(stamper) = elec_stamper.as_mut() else {
-            return Err(CoreError::InvalidModel(
-                "electrical template missing for a driven model".into(),
-            ));
-        };
-        assembly::stamp_electrical(
-            model,
-            compiled.layout(),
-            wires,
-            &scratch.t_star,
-            &scratch.coeff,
-            stamper,
-        );
-        let _ = stamper.finish();
-        compiled.elec_map().restrict_into(phi_warm, &mut scratch.x_red);
-        Ok(true)
     }
 
-    /// The electrical system assembled by the last
-    /// [`Session::assemble_electrical`] round (`None` before the first, or
-    /// for an undriven model).
-    pub(crate) fn electrical_assembled(&self) -> Option<(&Csr, &[f64])> {
-        self.elec_stamper.as_ref().and_then(|s| s.assembled())
+    /// The system of `system` assembled by the last stamping round (`None`
+    /// before the first, or for an undriven model).
+    fn assembled(&self, system: Subsystem) -> Option<(&Csr, &[f64])> {
+        match system {
+            Subsystem::Electrical => self
+                .elec_stamper
+                .as_ref()
+                .and_then(CachedStamper::assembled),
+            Subsystem::ThermalTransient => self.therm_stamper.assembled(),
+            Subsystem::ThermalStationary => self.therm_stationary_stamper.assembled(),
+        }
     }
 
-    /// The expansion half of [`Session::solve_electrical`]: scatters the
-    /// block-solved reduced potential in `scratch.x_red` back into the full
-    /// `phi_warm` (with the scaled Dirichlet drive) and charges the column's
-    /// iterations to the counters and the recovery budget, mirroring what
-    /// `solve_reduced` records on the scalar path.
-    pub(crate) fn finish_electrical(&mut self, phi_warm: &mut [f64], iterations: usize) {
+    /// The cached solver state of `system`.
+    fn cache_mut(&mut self, system: Subsystem) -> &mut SubsystemCache {
+        match system {
+            Subsystem::Electrical => &mut self.elec_solver,
+            Subsystem::ThermalTransient => &mut self.therm_solver,
+            Subsystem::ThermalStationary => &mut self.therm_stationary_solver,
+        }
+    }
+
+    /// Solves the assembled `system` through the recovery ladder
+    /// ([`solve_reduced`]): the guess in `scratch.x_red` on entry, the
+    /// solution there on exit. Returns the iterations spent.
+    fn solve_alone(&mut self, system: Subsystem) -> Result<usize, CoreError> {
+        let recovery = self.recovery();
         let Session {
             compiled,
-            drive_scale,
+            elec_stamper,
+            therm_stamper,
+            therm_stationary_stamper,
+            elec_solver,
+            therm_solver,
+            therm_stationary_solver,
             scratch,
             counters,
+            fault,
             budget_spent,
             ..
         } = self;
-        if *drive_scale == 1.0 {
-            compiled.elec_map().expand_into(&scratch.x_red, phi_warm);
-        } else {
-            compiled
-                .elec_map()
-                .expand_scaled_into(&scratch.x_red, phi_warm, *drive_scale);
+        let (assembled, cache) = match system {
+            Subsystem::Electrical => (
+                elec_stamper.as_ref().and_then(CachedStamper::assembled),
+                elec_solver,
+            ),
+            Subsystem::ThermalTransient => (therm_stamper.assembled(), therm_solver),
+            Subsystem::ThermalStationary => (
+                therm_stationary_stamper.assembled(),
+                therm_stationary_solver,
+            ),
+        };
+        let (a, b) = assembled.ok_or_else(|| not_assembled(system))?;
+        solve_reduced(
+            compiled.options(),
+            &recovery,
+            counters,
+            cache,
+            system,
+            a,
+            b,
+            &mut scratch.x_red,
+            fault.as_ref(),
+            budget_spent,
+        )
+    }
+}
+
+/// A member's failure in a run over a panel: its panel index and error.
+pub(crate) type MemberError = (usize, CoreError);
+
+/// How a step over a panel of members failed.
+#[derive(Debug)]
+enum StepError {
+    /// A member's solve has a planned fault. Only the width-1 path injects
+    /// faults, so the step is redone there.
+    FaultPlanned,
+    /// Member `.0` failed with `.1`.
+    Failed(usize, CoreError),
+}
+
+impl StepError {
+    /// The error of a single-session step. A single session solves through
+    /// [`solve_reduced`], which injects planned faults itself, so
+    /// [`StepError::FaultPlanned`] does not arise there.
+    fn into_error(self) -> CoreError {
+        match self {
+            StepError::Failed(_, e) => e,
+            StepError::FaultPlanned => {
+                CoreError::InvalidModel("planned fault left to a single-session solve".into())
+            }
         }
+    }
+
+    /// The failure to report, or `None` when redoing the step member by
+    /// member may repair it.
+    fn fatal(self) -> Option<MemberError> {
+        match self {
+            StepError::Failed(j, e) if !step_error_is_retryable(&e) => Some((j, e)),
+            _ => None,
+        }
+    }
+}
+
+/// State that only a panel of `k ≥ 2` members needs: the block-Krylov
+/// workspace, the right-hand side and solution panels, the interleaved
+/// value pack, the step-start potentials and the step-increment
+/// transplant's trajectories. A single session runs with an empty one.
+#[derive(Debug, Default)]
+pub(crate) struct Panel {
+    ws: BlockKrylovWorkspace,
+    b: MultiVec,
+    x: MultiVec,
+    /// Interleaved values of the members' matrices (`packed[t·k + c]` =
+    /// nonzero `t` of member `c`), re-filled per solve so the borrowing
+    /// [`CsrBatch::from_packed`] operator is allocation-free when warm.
+    packed: Vec<f64>,
+    reports: Vec<SolveReport>,
+    /// Every member's potential at the start of the current step, restored
+    /// before a width-1 rerun.
+    phi_start: Vec<Vec<f64>>,
+    /// Per-member reduced thermal solutions of the previous step, one per
+    /// Picard iterate (`traj[j][pk − 1]`), and of the current step.
+    traj: Vec<Vec<Vec<f64>>>,
+    traj_next: Vec<Vec<Vec<f64>>>,
+}
+
+impl Panel {
+    /// Forgets the trajectories, so the next run starts cold.
+    pub(crate) fn reset(&mut self) {
+        self.traj.clear();
+        self.traj_next.clear();
+    }
+
+    /// Step-increment transplant: iterate `pk`'s thermal guess of every
+    /// member gains the increment the member's previous step took at the
+    /// same position. A guess never changes a converged answer, and the
+    /// state never leaves the group, so worker-count bit-identity holds.
+    fn transplant(&self, members: &mut [Session], step: usize, pk: usize) {
+        if step < 2 || pk < 2 {
+            return;
+        }
+        for (m, traj) in members.iter_mut().zip(&self.traj) {
+            let x = &mut m.scratch.x_red;
+            let (Some(cur), Some(prev)) = (traj.get(pk - 1), traj.get(pk - 2)) else {
+                continue;
+            };
+            if cur.len() == x.len() && prev.len() == x.len() {
+                for ((xi, c), p) in x.iter_mut().zip(cur).zip(prev) {
+                    *xi += c - p;
+                }
+            }
+        }
+    }
+
+    /// Records every member's reduced thermal solution of iterate `pk`.
+    fn record_iterate(&mut self, members: &[Session], pk: usize) {
+        self.traj_next.resize(members.len(), Vec::new());
+        for (m, traj) in members.iter().zip(&mut self.traj_next) {
+            if traj.len() < pk {
+                traj.resize(pk, Vec::new());
+            }
+            let buf = &mut traj[pk - 1];
+            buf.clear();
+            buf.extend_from_slice(&m.scratch.x_red);
+        }
+    }
+
+    /// Ends a step: its iterates become the next step's transplant source.
+    /// A step redone member by member leaves none.
+    fn end_step(&mut self, rerun: bool) {
+        if rerun {
+            self.traj_next.iter_mut().for_each(Vec::clear);
+        }
+        std::mem::swap(&mut self.traj, &mut self.traj_next);
+    }
+}
+
+/// The fixed-step implicit-Euler run loop, for one session (`k = 1`, the
+/// [`Session::run_transient`] family) or a lock-step panel of `k ≥ 2`
+/// members (the batched ensemble): `n_steps` equal steps over
+/// `[0, t_end]` through [`step_panel`], recording every member's wire
+/// series and the snapshots nearest `snapshot_times`. The observer, which
+/// only single-session runs pass, watches member 0. Errors name the
+/// failing member.
+///
+/// # Panics
+///
+/// Panics if `members` is empty, `n_steps == 0` or `t_end ≤ 0`.
+pub(crate) fn run_fixed_step(
+    members: &mut [Session],
+    panel: &mut Panel,
+    t_end: f64,
+    n_steps: usize,
+    snapshot_times: &[f64],
+    mut observer: Option<&mut dyn StepObserver>,
+) -> Result<Vec<ObservedTransient>, MemberError> {
+    assert!(n_steps > 0, "need at least one step");
+    assert!(t_end > 0.0, "end time must be positive");
+    let dt = t_end / n_steps as f64;
+    let compiled = Arc::clone(&members[0].compiled);
+    let layout = compiled.layout();
+    let n_wires = members[0].wires.len();
+
+    // Map snapshot times to step indices.
+    let snap_indices: Vec<usize> = snapshot_times
+        .iter()
+        .map(|&t| ((t / dt).round() as usize).min(n_steps))
+        .collect();
+
+    let mut t_states = Vec::with_capacity(members.len());
+    for m in members.iter_mut() {
+        m.begin_transient_run();
+        t_states.push(m.initial_temperature());
+    }
+    let mut phis = vec![vec![0.0; layout.n_total()]; members.len()];
+    let mut runs: Vec<ObservedTransient> = t_states
+        .iter()
+        .map(|state| {
+            let mut solution = TransientSolution::with_capacity(n_wires, n_steps);
+            solution.record(layout, 0.0, state, &[], 0.0);
+            if snap_indices.contains(&0) {
+                solution.snapshots.push((0.0, state.clone()));
+            }
+            ObservedTransient {
+                solution,
+                steps_executed: 0,
+                bisection_steps: 0,
+                stopped_early: false,
+                crossing_time: None,
+            }
+        })
+        .collect();
+
+    let mut wire_buf: Vec<f64> = Vec::new();
+    if let Some(obs) = observer.as_deref_mut() {
+        let run = &mut runs[0];
+        match observe(obs, &mut wire_buf, &run.solution, 0, 0.0, &t_states[0]) {
+            ObserverAction::Continue => {}
+            ObserverAction::Stop => run.stopped_early = true,
+            ObserverAction::StopAndBisect { .. } => {
+                // The initial state already violates the limit: the
+                // crossing is at t = 0, nothing to bisect.
+                run.crossing_time = Some(0.0);
+                run.stopped_early = true;
+            }
+        }
+    }
+
+    let max_halvings = compiled.options().recovery.max_dt_halvings;
+    for step in 1..=n_steps {
+        if runs[0].stopped_early {
+            break;
+        }
+        let results = step_panel(members, panel, &t_states, &mut phis, dt, step, max_halvings)
+            .map_err(|(j, e)| {
+                let failed = CoreError::StepFailed {
+                    step,
+                    time: dt * (step - 1) as f64,
+                    source: Box::new(e),
+                };
+                (j, failed)
+            })?;
+        let time = dt * step as f64;
+        for (run, r) in runs.iter_mut().zip(&results) {
+            run.steps_executed = step;
+            let sol = &mut run.solution;
+            sol.record(layout, time, &r.temperature, &r.wire_powers, r.field_power);
+            sol.picard_iterations.push(r.picard_iterations);
+            sol.linear_iterations += r.linear_iterations;
+            if snap_indices.contains(&step) {
+                sol.snapshots.push((time, r.temperature.clone()));
+            }
+        }
+        if let Some(obs) = observer.as_deref_mut() {
+            let run = &mut runs[0];
+            let state = &results[0].temperature;
+            match observe(obs, &mut wire_buf, &run.solution, step, dt, state) {
+                ObserverAction::Continue => {}
+                ObserverAction::Stop => run.stopped_early = true,
+                ObserverAction::StopAndBisect {
+                    threshold,
+                    bisections,
+                } => {
+                    run.stopped_early = true;
+                    let y_hi = wire_buf.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+                    let y_lo = run
+                        .solution
+                        .wire_temperatures
+                        .iter()
+                        .map(|series| series[step - 1])
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    // `t_states` still holds the step-start state here —
+                    // the bracket the bisection re-steps from.
+                    let (t_cross, substeps) = members[0]
+                        .bisect_crossing(
+                            &t_states[0],
+                            time - dt,
+                            dt,
+                            y_lo,
+                            y_hi,
+                            threshold,
+                            bisections,
+                            &mut phis[0],
+                            step,
+                        )
+                        .map_err(|e| (0, e))?;
+                    run.crossing_time = Some(t_cross);
+                    run.bisection_steps = substeps;
+                }
+            }
+        }
+        for (t, r) in t_states.iter_mut().zip(results) {
+            *t = r.temperature;
+        }
+    }
+    Ok(runs)
+}
+
+/// Shows the observer the time point `step` just recorded in `solution`
+/// (`dt = 0` for the initial state), its wire temperatures gathered in
+/// `wire_buf`.
+fn observe(
+    obs: &mut dyn StepObserver,
+    wire_buf: &mut Vec<f64>,
+    solution: &TransientSolution,
+    step: usize,
+    dt: f64,
+    state: &[f64],
+) -> ObserverAction {
+    wire_buf.clear();
+    wire_buf.extend(solution.wire_temperatures.iter().map(|series| series[step]));
+    obs.observe(&StepRecord {
+        step,
+        time: solution.times[step],
+        dt,
+        wire_temperatures: wire_buf,
+        temperature: state,
+    })
+}
+
+/// Advances every member one step of size `dt` from `t_states`, updating
+/// `phis` in place. A single session steps through
+/// [`Session::step_recovering`]. A panel of `k ≥ 2` members steps in lock
+/// step through [`coupled_solve`]; when that fails with a retryable error,
+/// every member's step-start potential and fault-plan position are
+/// restored and the step is redone member by member through
+/// [`Session::step_recovering`], with its recovery ladder and
+/// `dt`-halving. Lock step resumes at the next step.
+fn step_panel(
+    members: &mut [Session],
+    panel: &mut Panel,
+    t_states: &[Vec<f64>],
+    phis: &mut [Vec<f64>],
+    dt: f64,
+    step: usize,
+    max_halvings: usize,
+) -> Result<Vec<StepResult>, MemberError> {
+    if let ([member], [t_prev], [phi]) = (&mut *members, t_states, &mut *phis) {
+        return member
+            .step_recovering(t_prev, dt, phi, step, max_halvings)
+            .map(|r| vec![r])
+            .map_err(|e| (0, e));
+    }
+    panel.phi_start.resize(phis.len(), Vec::new());
+    for (start, phi) in panel.phi_start.iter_mut().zip(phis.iter()) {
+        start.clone_from(phi);
+    }
+    let marks: Vec<usize> = members
+        .iter()
+        .map(|m| m.fault.as_ref().map_or(0, FaultInjector::next_solve))
+        .collect();
+    let t_prev: Vec<&[f64]> = t_states.iter().map(Vec::as_slice).collect();
+    let mut phi_refs: Vec<&mut [f64]> = phis.iter_mut().map(Vec::as_mut_slice).collect();
+    let failure = match coupled_solve(members, &t_prev, &mut phi_refs, Some(dt), step, panel) {
+        Ok(results) => {
+            panel.end_step(false);
+            return Ok(results);
+        }
+        Err(e) => e,
+    };
+    if let Some(fatal) = failure.fatal() {
+        return Err(fatal);
+    }
+    panel.end_step(true);
+    members
+        .iter_mut()
+        .zip(phis.iter_mut())
+        .zip(&panel.phi_start)
+        .zip(t_states)
+        .zip(marks)
+        .enumerate()
+        .map(|(j, ((((m, phi), start), t_prev), mark))| {
+            phi.copy_from_slice(start);
+            if let Some(f) = &m.fault {
+                f.rewind_to(mark);
+            }
+            m.step_recovering(t_prev, dt, phi, step, max_halvings)
+                .map_err(|e| (j, e))
+        })
+        .collect()
+}
+
+/// The coupled Picard loop over a panel of members in lock step, member `j`
+/// stepping from `t_prev[j]` (`dt = None`: stationary) and warm-starting
+/// its electrical solve from `phis[j]`. Each iterate runs every member's
+/// electrical assembly, one electrical [`solve_panel`], every member's heat
+/// sources and thermal assembly, one thermal [`solve_panel`] and every
+/// member's Picard update; the loop ends when the largest update in the
+/// panel meets the tolerance.
+fn coupled_solve(
+    members: &mut [Session],
+    t_prev: &[&[f64]],
+    phis: &mut [&mut [f64]],
+    dt: Option<f64>,
+    step_index: usize,
+    panel: &mut Panel,
+) -> Result<Vec<StepResult>, StepError> {
+    let k = members.len();
+    let compiled = Arc::clone(&members[0].compiled);
+    let options = compiled.options();
+    let mut predict = Vec::with_capacity(k);
+    for (m, t) in members.iter_mut().zip(t_prev) {
+        assert_eq!(t.len(), compiled.layout().n_total(), "state length");
+        predict.push(m.begin_coupled(t, dt));
+    }
+    let thermal = if dt.is_some() {
+        Subsystem::ThermalTransient
+    } else {
+        Subsystem::ThermalStationary
+    };
+    let mut linear = vec![0usize; k];
+    let mut field_power = vec![0.0; k];
+    let mut converged = false;
+    let mut iterations = 0usize;
+    let mut update = f64::INFINITY;
+    let mut worst = 0usize;
+
+    let mut elec_solved = false;
+    for pk in 1..=options.picard_max_iter {
+        iterations = pk;
+        if !elec_solved || options.resolve_electrical_every_picard {
+            let mut driven = false;
+            for (j, (m, phi)) in members.iter_mut().zip(phis.iter_mut()).enumerate() {
+                driven = m
+                    .assemble_electrical(phi)
+                    .map_err(|e| StepError::Failed(j, e))?;
+            }
+            if driven {
+                solve_panel(members, Subsystem::Electrical, panel, &mut linear)?;
+                for (m, phi) in members.iter().zip(phis.iter_mut()) {
+                    m.expand_potential(phi);
+                }
+            }
+            elec_solved = true;
+        }
+        for (j, m) in members.iter_mut().enumerate() {
+            field_power[j] = m.heat_sources(phis[j]);
+            m.assemble_thermal(t_prev[j], dt, predict[j] && pk == 1, step_index, pk);
+        }
+        if k > 1 {
+            panel.transplant(members, step_index, pk);
+        }
+        solve_panel(members, thermal, panel, &mut linear)?;
+        let mut met = true;
+        for (j, m) in members.iter_mut().enumerate() {
+            m.accept_thermal(dt, step_index);
+            let u = m.picard_update_and_swap();
+            met &= u <= options.picard_tol;
+            if j == 0 || u > update || u.is_nan() {
+                update = u;
+                worst = j;
+            }
+        }
+        if k > 1 {
+            panel.record_iterate(members, pk);
+        }
+        if met {
+            converged = true;
+            break;
+        }
+    }
+    for m in members.iter_mut() {
+        m.counters.picard_iterations += iterations;
+    }
+    if !converged && options.strict_picard {
+        let stalled = CoreError::PicardNotConverged {
+            step: step_index,
+            update,
+        };
+        return Err(StepError::Failed(worst, stalled));
+    }
+    let results = members
+        .iter_mut()
+        .zip(t_prev)
+        .zip(phis.iter())
+        .zip(field_power.into_iter().zip(linear))
+        .map(|(((m, t), phi), (field_power, linear_iterations))| {
+            m.record_step_history(t, dt);
+            StepResult {
+                temperature: m.scratch.t_star.clone(),
+                potential: phi.to_vec(),
+                picard_iterations: iterations,
+                linear_iterations,
+                converged,
+                wire_powers: m.scratch.wire_powers.clone(),
+                field_power,
+            }
+        })
+        .collect();
+    Ok(results)
+}
+
+/// The one linear-solve entry: solves the assembled `system` of every
+/// member, the guess in its `scratch.x_red` on entry and the solution there
+/// on exit, adding the iterations to `linear[j]`. A single session solves
+/// through the recovery ladder ([`Session::solve_alone`]); a panel of
+/// `k ≥ 2` through one block PCG ([`block_solve`]) preconditioned from
+/// member 0's cache.
+fn solve_panel(
+    members: &mut [Session],
+    system: Subsystem,
+    panel: &mut Panel,
+    linear: &mut [usize],
+) -> Result<(), StepError> {
+    if let [member] = members {
+        linear[0] += member
+            .solve_alone(system)
+            .map_err(|e| StepError::Failed(0, e))?;
+        return Ok(());
+    }
+    // The group preconditioner lives in member 0's cache, and its builds
+    // and reuses are charged to member 0.
+    let mut cache = std::mem::take(members[0].cache_mut(system));
+    let mut owner = SolveCounters::default();
+    let solved = block_solve(members, system, panel, &mut cache, &mut owner, linear);
+    *members[0].cache_mut(system) = cache;
+    members[0].counters.merge(&owner);
+    solved
+}
+
+/// One block PCG over the members' same-pattern matrices, preconditioned by
+/// the group preconditioner in `cache` under the lazy-refresh policy of
+/// [`solve_reduced`]: rebuilt after `precond_max_reuses` reuses, and
+/// eagerly refreshed when the panel's slowest column needs more than
+/// `precond_refresh_factor` times the first solve's iterations; `owner`
+/// counts the builds and reuses. Every member checks its iteration budget
+/// and consults its fault plan first, as [`solve_reduced`] does. A planned
+/// fault, a breakdown, a non-finite column or an unconverged column fails
+/// with a retryable error; there is no ladder here, [`step_panel`] redoes
+/// the step member by member.
+fn block_solve(
+    members: &mut [Session],
+    system: Subsystem,
+    panel: &mut Panel,
+    cache: &mut SubsystemCache,
+    owner: &mut SolveCounters,
+    linear: &mut [usize],
+) -> Result<(), StepError> {
+    let k = members.len();
+    let compiled = Arc::clone(&members[0].compiled);
+    let options = compiled.options();
+    for (j, m) in members.iter().enumerate() {
+        check_budget(&m.recovery(), m.budget_spent).map_err(|e| StepError::Failed(j, e))?;
+        if m.fault.as_ref().is_some_and(FaultInjector::begin_solve) {
+            return Err(StepError::FaultPlanned);
+        }
+    }
+    let n = members[0].scratch.x_red.len();
+    panel.b.ensure(n, k);
+    panel.x.ensure(n, k);
+    let mut mats = Vec::with_capacity(k);
+    for (j, m) in members.iter().enumerate() {
+        let (a, b) = m
+            .assembled(system)
+            .ok_or_else(|| StepError::Failed(j, not_assembled(system)))?;
+        panel.b.copy_col_from(j, b);
+        panel.x.copy_col_from(j, &m.scratch.x_red);
+        mats.push(a);
+    }
+    let owner_fault = members[0].fault.as_ref();
+    let fresh = cache.precond.is_none() || cache.reuses >= options.precond_max_reuses;
+    if fresh {
+        refresh_or_rebuild(options, owner, cache, mats[0], owner_fault)
+            .map_err(|e| StepError::Failed(0, e.into()))?;
+    } else {
+        cache.reuses += 1;
+        owner.precond_reuses += 1;
+    }
+    let Some(precond) = cache.precond.as_ref() else {
+        // Unreachable: built or refreshed above.
+        return Err(StepError::Failed(
+            0,
+            CoreError::InvalidModel("preconditioner missing after build".into()),
+        ));
+    };
+    Csr::pack_batch_values(&mats, &mut panel.packed);
+    let nnz = mats[0].values().len();
+    let op = CsrBatch::from_packed(mats[0], &panel.packed[..nnz * k]);
+    block_pcg_with(
+        &op,
+        &panel.b,
+        &mut panel.x,
+        precond,
+        &options.linear,
+        &mut panel.ws,
+        &mut panel.reports,
+    )
+    .map_err(|e| StepError::Failed(0, e.into()))?;
+    // Every column's iterations count against its member's budget, as
+    // `solve_reduced` charges failed attempts.
+    for (m, r) in members.iter_mut().zip(&panel.reports) {
+        m.budget_spent += r.iterations;
+    }
+    if let Some(j) = panel.reports.iter().position(|r| !r.converged) {
+        let r = panel.reports[j];
+        let failed = CoreError::LinearSolveFailed {
+            system: system.name(),
+            iterations: r.iterations,
+            residual: r.residual,
+        };
+        return Err(StepError::Failed(j, failed));
+    }
+    let mut slowest = 0usize;
+    for (j, m) in members.iter_mut().enumerate() {
+        let iterations = panel.reports[j].iterations;
+        panel.x.copy_col_into(j, &mut m.scratch.x_red);
+        charge_solve(&mut m.counters, system, iterations);
+        linear[j] += iterations;
+        slowest = slowest.max(iterations);
+    }
+    let base = *cache.baseline_iters.get_or_insert(slowest.max(1));
+    let degraded = slowest as f64 > options.precond_refresh_factor * base as f64;
+    if let (true, false, Some((a0, _))) = (degraded, fresh, members[0].assembled(system)) {
+        // Refresh eagerly so the next panel solve starts from current
+        // values.
+        refresh_or_rebuild(options, owner, cache, a0, members[0].fault.as_ref())
+            .map_err(|e| StepError::Failed(0, e.into()))?;
+    }
+    Ok(())
+}
+
+/// The error for a solve of `system` before its first assembly.
+fn not_assembled(system: Subsystem) -> CoreError {
+    CoreError::InvalidModel(format!("{} system not assembled", system.name()))
+}
+
+/// Charges one converged solve of `system` to `counters`.
+fn charge_solve(counters: &mut SolveCounters, system: Subsystem, iterations: usize) {
+    if system == Subsystem::Electrical {
         counters.electrical_iterations += iterations;
         counters.electrical_solves += 1;
-        *budget_spent += iterations;
-    }
-
-    /// The reduced unknown vector of the current linear solve (the thermal
-    /// CG initial guess after [`Session::assemble_thermal`]).
-    pub(crate) fn x_red(&self) -> &[f64] {
-        &self.scratch.x_red
-    }
-
-    /// Mutable access to the reduced unknowns: the batched path scatters
-    /// its panel column back here before [`Session::accept_thermal`].
-    pub(crate) fn x_red_mut(&mut self) -> &mut [f64] {
-        &mut self.scratch.x_red
-    }
-
-    /// The lagged Picard temperature (after the final swap of a step this
-    /// is the accepted step temperature).
-    pub(crate) fn t_star(&self) -> &[f64] {
-        &self.scratch.t_star
-    }
-
-    /// Joule power per wire from the last [`Session::heat_sources`] call.
-    pub(crate) fn wire_powers_scratch(&self) -> &[f64] {
-        &self.scratch.wire_powers
-    }
-
-    /// Charges one block-solved thermal column to the counters and the
-    /// recovery iteration budget, mirroring what `solve_reduced` records on
-    /// the scalar path.
-    pub(crate) fn note_block_thermal_solve(&mut self, iterations: usize) {
-        self.counters.thermal_iterations += iterations;
-        self.counters.thermal_solves += 1;
-        self.budget_spent += iterations;
-    }
-
-    /// Records one (re)build or reuse of the group-shared batched
-    /// preconditioner (charged to the group's first session).
-    pub(crate) fn note_shared_precond(&mut self, rebuilt: bool, coarse_dim: Option<usize>) {
-        if rebuilt {
-            self.counters.precond_rebuilds += 1;
-        } else {
-            self.counters.precond_reuses += 1;
-        }
-        if let Some(cd) = coarse_dim {
-            self.counters.peak_coarse_dim = self.counters.peak_coarse_dim.max(cd);
-        }
+    } else {
+        counters.thermal_iterations += iterations;
+        counters.thermal_solves += 1;
     }
 }
 
@@ -1625,6 +1917,7 @@ enum Rung {
 #[allow(clippy::too_many_arguments)]
 fn solve_reduced(
     options: &SolverOptions,
+    recovery: &RecoveryPolicy,
     counters: &mut SolveCounters,
     cache: &mut SubsystemCache,
     system: Subsystem,
@@ -1633,14 +1926,9 @@ fn solve_reduced(
     x: &mut [f64],
     fault: Option<&FaultInjector>,
     budget_spent: &mut usize,
-    budget_override: Option<usize>,
 ) -> Result<usize, CoreError> {
     let opts: CgOptions = options.linear;
-    let mut recovery = options.recovery;
-    if let Some(budget) = budget_override {
-        recovery.linear_iteration_budget = budget;
-    }
-    check_budget(&recovery, *budget_spent)?;
+    check_budget(recovery, *budget_spent)?;
 
     let mut fresh = if cache.precond.is_none() || cache.reuses >= options.precond_max_reuses {
         refresh_or_rebuild(options, counters, cache, a, fault)?;
@@ -1729,7 +2017,7 @@ fn solve_reduced(
                 e => e,
             });
         };
-        check_budget(&recovery, *budget_spent)?;
+        check_budget(recovery, *budget_spent)?;
         x.copy_from_slice(&cache.guess_backup);
         escalated = true;
         match rung {
@@ -1754,13 +2042,7 @@ fn solve_reduced(
     if escalated {
         counters.recovery.recovered_solves += 1;
     }
-    if system == Subsystem::Electrical {
-        counters.electrical_iterations += report.iterations;
-        counters.electrical_solves += 1;
-    } else {
-        counters.thermal_iterations += report.iterations;
-        counters.thermal_solves += 1;
-    }
+    charge_solve(counters, system, report.iterations);
 
     match cache.baseline_iters {
         None => cache.baseline_iters = Some(report.iterations.max(1)),

@@ -1,5 +1,7 @@
 //! Result container of a transient run.
 
+use crate::layout::DofLayout;
+
 /// Time histories produced by [`crate::Simulator::run_transient`].
 ///
 /// Wire temperatures are the paper's representative values
@@ -23,6 +25,43 @@ pub struct TransientSolution {
 }
 
 impl TransientSolution {
+    /// An empty history with room for `n_steps` steps of `n_wires` wires.
+    pub(crate) fn with_capacity(n_wires: usize, n_steps: usize) -> Self {
+        TransientSolution {
+            times: Vec::with_capacity(n_steps + 1),
+            wire_temperatures: vec![Vec::with_capacity(n_steps + 1); n_wires],
+            wire_powers: vec![Vec::with_capacity(n_steps + 1); n_wires],
+            field_power: Vec::with_capacity(n_steps + 1),
+            picard_iterations: Vec::with_capacity(n_steps),
+            linear_iterations: 0,
+            snapshots: Vec::new(),
+        }
+    }
+
+    /// Appends the time point `time`: the wire temperatures of the full
+    /// state `state`, the wire powers (zero past the end of `powers`) and
+    /// the field power.
+    pub(crate) fn record(
+        &mut self,
+        layout: &DofLayout,
+        time: f64,
+        state: &[f64],
+        powers: &[f64],
+        field_power: f64,
+    ) {
+        self.times.push(time);
+        for (j, (temps, pows)) in self
+            .wire_temperatures
+            .iter_mut()
+            .zip(&mut self.wire_powers)
+            .enumerate()
+        {
+            temps.push(layout.topology(j).average_temperature(state));
+            pows.push(powers.get(j).copied().unwrap_or(0.0));
+        }
+        self.field_power.push(field_power);
+    }
+
     /// Number of recorded time points.
     pub fn n_times(&self) -> usize {
         self.times.len()

@@ -196,6 +196,19 @@ impl FaultInjector {
                 .any(|(f, c)| f.solve == s && f.kind != FaultKind::RefreshFail && !c.get())
     }
 
+    /// The solve index the next [`FaultInjector::begin_solve`] will assign:
+    /// a mark for [`FaultInjector::rewind_to`].
+    pub fn next_solve(&self) -> usize {
+        self.next_solve.get()
+    }
+
+    /// Rewinds the solve counter to a mark from
+    /// [`FaultInjector::next_solve`], so the solves begun since are counted
+    /// again when they are redone. Consumed faults stay consumed.
+    pub fn rewind_to(&self, mark: usize) {
+        self.next_solve.set(mark);
+    }
+
     /// Rewinds the within-attempt state for a retry of the current solve
     /// (the solve index is unchanged; consumed faults stay consumed).
     pub fn begin_attempt(&self) {
