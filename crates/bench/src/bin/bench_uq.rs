@@ -191,12 +191,19 @@ fn main() {
     //   spread between different preconditioner states scales with the
     //   residual tolerance; 1e-10 keeps the worst case over the whole
     //   campaign safely under the gate.
+    // * No inexact Picard (`picard_forcing` off): with picard_tol = 0 the
+    //   forcing's convergence guard never applies, and a 1e-4 second
+    //   iterate contracted only four more times leaves ~7e-7 K between
+    //   configurations, past the gate. Forcing also removes most of the
+    //   thermal CG work that warm starts and panels save, which is what
+    //   this bench measures.
     //
     // Every configuration pays identically, so the speedups are unaffected.
     let campaign = |mut o: SolverOptions| {
         o.linear.tol_rel = 1e-10;
         o.picard_tol = 0.0;
         o.picard_max_iter = 6;
+        o.picard_forcing = false;
         o
     };
     let opts_ic = campaign(SolverOptions::default());

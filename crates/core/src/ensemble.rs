@@ -1065,6 +1065,201 @@ mod tests {
         }
     }
 
+    /// `options` with inexact Picard on.
+    fn forced(options: SolverOptions) -> SolverOptions {
+        SolverOptions {
+            picard_forcing: true,
+            ..options
+        }
+    }
+
+    /// A fresh session on the one-wire block under `options`.
+    fn wire_session(options: SolverOptions) -> Session {
+        Session::new(Arc::new(
+            CompiledModel::compile(wire_model(), options).unwrap(),
+        ))
+    }
+
+    #[test]
+    fn forcing_saves_thermal_cg_within_the_picard_tolerance() {
+        let run = |options: SolverOptions| {
+            let mut session = wire_session(options);
+            let sol = session.run_transient(2.0, 4, &[2.0]).unwrap();
+            (sol, session.counters())
+        };
+        let options = SolverOptions::default();
+        let (tight, tight_counters) = run(options.clone());
+        let (loose, loose_counters) = run(forced(options.clone()));
+        assert!(
+            loose_counters.thermal_iterations < tight_counters.thermal_iterations,
+            "forcing spent {} thermal CG iterations, the tight loop {}",
+            loose_counters.thermal_iterations,
+            tight_counters.thermal_iterations
+        );
+        let t_max = tight.snapshots[0].1.iter().fold(0.0f64, |a, &b| a.max(b));
+        let end = |sol: &TransientSolution| *sol.wire_series(0).last().unwrap();
+        let drift = (end(&tight) - end(&loose)).abs();
+        assert!(
+            drift <= options.picard_tol * t_max,
+            "end-time wire temperature moved {drift} K"
+        );
+    }
+
+    #[test]
+    fn forced_steps_converge_only_on_tight_iterates() {
+        let options = forced(SolverOptions::default());
+        let counted = options.picard_tol.max(options.linear.tol_rel);
+        let mut session = wire_session(options);
+        let mut t = session.initial_temperature();
+        let mut phi = vec![0.0; t.len()];
+        for step in 1..=8 {
+            // A 0.1 ms step barely moves the temperature: its loose first
+            // solve stops at the initial guess, an update of zero that only
+            // the guard keeps from counting as converged.
+            let dt = if step % 2 == 1 { 1e-4 } else { 0.5 };
+            let r = session.step(&t, dt, &mut phi, step).unwrap();
+            assert!(r.converged, "step {step} did not converge");
+            assert!(
+                r.thermal_tol <= counted,
+                "step {step} converged on an iterate solved at {}",
+                r.thermal_tol
+            );
+            t = r.temperature;
+        }
+    }
+
+    #[test]
+    fn forced_batched_is_bit_identical_for_any_thread_count() {
+        let compiled = Arc::new(
+            CompiledModel::compile(wire_model(), forced(pinned_options(2))).unwrap(),
+        );
+        let samples = samples();
+        let mut reference: Option<EnsembleResult> = None;
+        for threads in [1, 2, 4] {
+            let r = run_ensemble_batched(
+                &compiled,
+                &LengthScenario,
+                &samples,
+                &EnsembleOptions {
+                    n_threads: threads,
+                    ..EnsembleOptions::default()
+                },
+            )
+            .unwrap();
+            if let Some(reference) = &reference {
+                assert_eq!(r.outputs, reference.outputs, "threads = {threads}");
+                assert_eq!(r.counters, reference.counters, "threads = {threads}");
+            } else {
+                reference = Some(r);
+            }
+        }
+    }
+
+    #[test]
+    fn forced_width_one_and_ladder_off_are_bit_identical() {
+        use crate::options::RecoveryPolicy;
+        let samples = samples();
+        let scalar = Arc::new(
+            CompiledModel::compile(wire_model(), forced(SolverOptions::default())).unwrap(),
+        );
+        let reference = run_ensemble(
+            &scalar,
+            &LengthScenario,
+            &samples,
+            &EnsembleOptions::default(),
+        )
+        .unwrap();
+        let width_one = Arc::new(
+            CompiledModel::compile(
+                wire_model(),
+                SolverOptions {
+                    batch_width: 1,
+                    ..forced(SolverOptions::default())
+                },
+            )
+            .unwrap(),
+        );
+        let batched = run_ensemble_batched(
+            &width_one,
+            &LengthScenario,
+            &samples,
+            &EnsembleOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(batched.outputs, reference.outputs);
+        let ladder_off = Arc::new(
+            CompiledModel::compile(
+                wire_model(),
+                SolverOptions {
+                    recovery: RecoveryPolicy::disabled(),
+                    ..forced(SolverOptions::default())
+                },
+            )
+            .unwrap(),
+        );
+        let bare = run_ensemble(
+            &ladder_off,
+            &LengthScenario,
+            &samples,
+            &EnsembleOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(bare.outputs, reference.outputs);
+    }
+
+    /// Implicit Euler conserves energy step by step: the heat stored,
+    /// `Σᵢ cᵢ (T_{n+1,i} − T_{n,i})`, equals
+    /// `Δt · (P_field + ΣP_wire − outflow(T_{n+1}))` up to the residual `r`
+    /// of the step's last thermal solve. The wire block's boundary is
+    /// convective only, so the outflow is linear in `T` and its lagging
+    /// leaves no trace. That solve ran at a relative tolerance of at most
+    /// `max(picard_tol, tol_rel)`, and every entry of the right-hand side
+    /// `b = c∘T_n/Δt + q + hA·T_amb` is non-negative, so
+    /// `Δt·|Σ rᵢ| ≤ Δt·√n·‖r‖₂ ≤ √n · tol · Δt·Σ bᵢ`.
+    #[test]
+    fn transient_steps_balance_energy() {
+        for picard_forcing in [false, true] {
+            let options = SolverOptions {
+                picard_forcing,
+                ..SolverOptions::default()
+            };
+            let tol = options.picard_tol.max(options.linear.tol_rel);
+            let mut session = wire_session(options);
+            let compiled = Arc::clone(session.compiled());
+            let model = compiled.model();
+            let (grid, boundary) = (model.grid(), model.thermal_boundary());
+            let n_grid = grid.n_nodes();
+            let mass = compiled.mass_diag_for(session.wires());
+            // Σ hA·T_amb: minus the outflow of a field at 0 K.
+            let ambient_inflow = -boundary.outgoing_power(grid, &vec![0.0; n_grid]);
+            let dt = 0.5;
+            let mut t = session.initial_temperature();
+            let mut phi = vec![0.0; t.len()];
+            for step in 1..=8 {
+                let r = session.step(&t, dt, &mut phi, step).unwrap();
+                let stored: f64 = mass
+                    .iter()
+                    .zip(r.temperature.iter().zip(&t))
+                    .map(|(c, (t1, t0))| c * (t1 - t0))
+                    .sum();
+                let power = r.field_power + r.wire_powers.iter().sum::<f64>();
+                let outflow = boundary.outgoing_power(grid, &r.temperature[..n_grid]);
+                let supplied = dt * (power - outflow);
+                let held: f64 = mass.iter().zip(&t).map(|(c, t0)| c * t0).sum();
+                let bound =
+                    (t.len() as f64).sqrt() * tol * (held + dt * (power + ambient_inflow));
+                let residual = stored - supplied;
+                assert!(
+                    residual.abs() <= bound,
+                    "forcing {picard_forcing}, step {step}: stored {stored} J, \
+                     supplied {supplied} J, bound {bound} J"
+                );
+                assert!(stored > 1e3 * bound, "step {step} stores too little to test");
+                t = r.temperature;
+            }
+        }
+    }
+
     #[test]
     fn empty_sample_set_is_ok() {
         let compiled = Arc::new(

@@ -23,7 +23,9 @@
 //!   at the same (step, Picard-iterate) position by transplanting its
 //!   update increment. Warm starts and preconditioner state only change
 //!   *iteration counts*; the converged physics agrees with the exact mode
-//!   within the inner solver tolerance.
+//!   within the inner solver tolerance (within the Picard tolerance under
+//!   [`SolverOptions::picard_forcing`], whose loose early solves stop
+//!   wherever their guess lets them).
 //!
 //! One driver serves a single session and a lock-step panel of sessions:
 //! the fixed-step run loop (`run_fixed_step`) and the coupled Picard loop
@@ -149,9 +151,9 @@ impl Preconditioner for CachedPrecond {
 struct SubsystemCache {
     precond: Option<CachedPrecond>,
     ws: KrylovWorkspace,
-    /// CG iterations of the first solve after the last (re)build — the
-    /// reference for the degradation trigger.
-    baseline_iters: Option<usize>,
+    /// The first solve after the last (re)build — the reference for the
+    /// degradation trigger.
+    baseline: Option<Effort>,
     /// Solves since the last (re)build.
     reuses: usize,
     /// How many times the recovery ladder has downgraded this subsystem's
@@ -165,8 +167,21 @@ struct SubsystemCache {
 
 impl SubsystemCache {
     fn mark_rebuilt(&mut self) {
-        self.baseline_iters = None;
+        self.baseline = None;
         self.reuses = 0;
+    }
+
+    /// The degradation trigger of the lazy-refresh policy: records the
+    /// first converged solve after a (re)build as the baseline and reports
+    /// whether a later one cost more than `factor ×` it.
+    fn degraded(&mut self, effort: Effort, factor: f64) -> bool {
+        match &self.baseline {
+            None => {
+                self.baseline = Some(effort);
+                false
+            }
+            Some(base) => effort.exceeds(base, factor),
+        }
     }
 
     /// Drops the cached preconditioner (exact-mode reset): the next solve
@@ -177,6 +192,44 @@ impl SubsystemCache {
         self.fallback_level = 0;
         self.guess_backup.clear();
         self.mark_rebuilt();
+    }
+}
+
+/// What the lazy-refresh trigger knows of one converged solve.
+#[derive(Debug, Clone, Copy)]
+struct Effort {
+    /// The relative CG tolerance it ran at.
+    tol: f64,
+    /// CG iterations spent.
+    iterations: usize,
+    /// Decades of residual reduction they bought ([`SolveReport::decades`]).
+    decades: f64,
+}
+
+impl Effort {
+    fn of(report: &SolveReport, tol: f64) -> Self {
+        Effort {
+            tol,
+            iterations: report.iterations,
+            decades: report.decades(),
+        }
+    }
+
+    /// Whether this solve cost more than `factor ×` the baseline, comparing
+    /// like with like: at the baseline's tolerance, iteration counts (the
+    /// baseline floored at one); at another tolerance, iterations per decade
+    /// of residual reduction, so that neither a loose baseline makes a tight
+    /// solve look degraded nor the reverse. A solve without a positive,
+    /// finite reduction on either side is no evidence of degradation.
+    fn exceeds(&self, base: &Effort, factor: f64) -> bool {
+        if self.tol == base.tol {
+            return self.iterations as f64 > factor * base.iterations.max(1) as f64;
+        }
+        let evidence = |d: f64| d.is_finite() && d > 0.0;
+        evidence(self.decades)
+            && evidence(base.decades)
+            && self.iterations as f64 * base.decades
+                > factor * base.iterations as f64 * self.decades
     }
 }
 
@@ -268,6 +321,10 @@ pub struct StepResult {
     pub linear_iterations: usize,
     /// Whether the Picard loop met its tolerance.
     pub converged: bool,
+    /// Relative CG tolerance of the last Picard iterate's thermal solve:
+    /// `linear.tol_rel` unless [`SolverOptions::picard_forcing`] is on. A
+    /// step redone as sub-steps reports the looser of its halves.
+    pub thermal_tol: f64,
     /// Joule power per wire (W).
     pub wire_powers: Vec<f64>,
     /// Total field Joule power (W).
@@ -792,6 +849,7 @@ impl Session {
                     picard_iterations: first.picard_iterations + second.picard_iterations,
                     linear_iterations: first.linear_iterations + second.linear_iterations,
                     converged: first.converged && second.converged,
+                    thermal_tol: first.thermal_tol.max(second.thermal_tol),
                     wire_powers: second.wire_powers,
                     field_power: second.field_power,
                 })
@@ -881,7 +939,8 @@ impl Session {
         if !self.assemble_electrical(phi_warm)? {
             return Ok(0);
         }
-        let iterations = self.solve_alone(Subsystem::Electrical)?;
+        let tol = self.options().linear.tol_rel;
+        let iterations = self.solve_alone(Subsystem::Electrical, tol)?;
         self.expand_potential(phi_warm);
         Ok(iterations)
     }
@@ -1183,10 +1242,11 @@ impl Session {
         }
     }
 
-    /// Solves the assembled `system` through the recovery ladder
-    /// ([`solve_reduced`]): the guess in `scratch.x_red` on entry, the
-    /// solution there on exit. Returns the iterations spent.
-    fn solve_alone(&mut self, system: Subsystem) -> Result<usize, CoreError> {
+    /// Solves the assembled `system` to relative tolerance `tol` through
+    /// the recovery ladder ([`solve_reduced`]): the guess in
+    /// `scratch.x_red` on entry, the solution there on exit. Returns the
+    /// iterations spent.
+    fn solve_alone(&mut self, system: Subsystem, tol: f64) -> Result<usize, CoreError> {
         let recovery = self.recovery();
         let Session {
             compiled,
@@ -1225,6 +1285,7 @@ impl Session {
             &mut scratch.x_red,
             fault.as_ref(),
             budget_spent,
+            tol,
         )
     }
 }
@@ -1570,7 +1631,10 @@ fn step_panel(
 /// electrical assembly, one electrical [`solve_panel`], every member's heat
 /// sources and thermal assembly, one thermal [`solve_panel`] and every
 /// member's Picard update; the loop ends when the largest update in the
-/// panel meets the tolerance.
+/// panel meets the tolerance. Under [`SolverOptions::picard_forcing`] a
+/// transient step's thermal solves run at [`forcing_tolerance`], and only an
+/// iterate solved no looser than `max(picard_tol, tol_rel)` may end the
+/// loop.
 fn coupled_solve(
     members: &mut [Session],
     t_prev: &[&[f64]],
@@ -1598,6 +1662,11 @@ fn coupled_solve(
     let mut iterations = 0usize;
     let mut update = f64::INFINITY;
     let mut worst = 0usize;
+    let tol_rel = options.linear.tol_rel;
+    let forcing = options.picard_forcing && dt.is_some();
+    let mut thermal_tol = tol_rel;
+    // The panel's largest updates of the previous two iterates.
+    let (mut u1, mut u2) = (f64::NAN, f64::NAN);
 
     let mut elec_solved = false;
     for pk in 1..=options.picard_max_iter {
@@ -1610,7 +1679,7 @@ fn coupled_solve(
                     .map_err(|e| StepError::Failed(j, e))?;
             }
             if driven {
-                solve_panel(members, Subsystem::Electrical, panel, &mut linear)?;
+                solve_panel(members, Subsystem::Electrical, panel, &mut linear, tol_rel)?;
                 for (m, phi) in members.iter().zip(phis.iter_mut()) {
                     m.expand_potential(phi);
                 }
@@ -1624,8 +1693,11 @@ fn coupled_solve(
         if k > 1 {
             panel.transplant(members, step_index, pk);
         }
-        solve_panel(members, thermal, panel, &mut linear)?;
-        let mut met = true;
+        if forcing {
+            thermal_tol = forcing_tolerance(options, pk, u1, u2);
+        }
+        solve_panel(members, thermal, panel, &mut linear, thermal_tol)?;
+        let mut met = thermal_tol <= options.picard_tol.max(tol_rel);
         for (j, m) in members.iter_mut().enumerate() {
             m.accept_thermal(dt, step_index);
             let u = m.picard_update_and_swap();
@@ -1635,6 +1707,7 @@ fn coupled_solve(
                 worst = j;
             }
         }
+        (u1, u2) = (update, u1);
         if k > 1 {
             panel.record_iterate(members, pk);
         }
@@ -1666,6 +1739,7 @@ fn coupled_solve(
                 picard_iterations: iterations,
                 linear_iterations,
                 converged,
+                thermal_tol,
                 wire_powers: m.scratch.wire_powers.clone(),
                 field_power,
             }
@@ -1674,21 +1748,49 @@ fn coupled_solve(
     Ok(results)
 }
 
+/// Eisenstat–Walker forcing term η of inexact Picard
+/// ([`SolverOptions::picard_forcing`]).
+const FORCING_ETA: f64 = 0.1;
+/// The loosest thermal tolerance inexact Picard uses, and the first
+/// iterate's.
+const FORCING_TAU1: f64 = 1e-4;
+
+/// The thermal CG tolerance of Picard iterate `pk` of a transient step under
+/// [`SolverOptions::picard_forcing`], given the panel's largest updates `u1`
+/// and `u2` of iterates `pk − 1` and `pk − 2`: [`FORCING_TAU1`] first, then
+/// `η · u1 · min(1, u1/u2)`, capped at `τ₁` and floored at `tol_rel`;
+/// `tol_rel` on the last iterate a step may take, which no later iterate
+/// can correct.
+fn forcing_tolerance(options: &SolverOptions, pk: usize, u1: f64, u2: f64) -> f64 {
+    let tol_rel = options.linear.tol_rel;
+    if pk >= options.picard_max_iter {
+        return tol_rel;
+    }
+    let forcing = match pk {
+        1 => FORCING_TAU1,
+        2 => FORCING_ETA * u1,
+        // `min` takes the 1 when the ratio is NaN (0/0).
+        _ => FORCING_ETA * u1 * (u1 / u2).min(1.0),
+    };
+    forcing.min(FORCING_TAU1).max(tol_rel)
+}
+
 /// The one linear-solve entry: solves the assembled `system` of every
-/// member, the guess in its `scratch.x_red` on entry and the solution there
-/// on exit, adding the iterations to `linear[j]`. A single session solves
-/// through the recovery ladder ([`Session::solve_alone`]); a panel of
-/// `k ≥ 2` through one block PCG ([`block_solve`]) preconditioned from
-/// member 0's cache.
+/// member to relative tolerance `tol`, the guess in its `scratch.x_red` on
+/// entry and the solution there on exit, adding the iterations to
+/// `linear[j]`. A single session solves through the recovery ladder
+/// ([`Session::solve_alone`]); a panel of `k ≥ 2` through one block PCG
+/// ([`block_solve`]) preconditioned from member 0's cache.
 fn solve_panel(
     members: &mut [Session],
     system: Subsystem,
     panel: &mut Panel,
     linear: &mut [usize],
+    tol: f64,
 ) -> Result<(), StepError> {
     if let [member] = members {
         linear[0] += member
-            .solve_alone(system)
+            .solve_alone(system, tol)
             .map_err(|e| StepError::Failed(0, e))?;
         return Ok(());
     }
@@ -1696,22 +1798,22 @@ fn solve_panel(
     // and reuses are charged to member 0.
     let mut cache = std::mem::take(members[0].cache_mut(system));
     let mut owner = SolveCounters::default();
-    let solved = block_solve(members, system, panel, &mut cache, &mut owner, linear);
+    let solved = block_solve(members, system, panel, &mut cache, &mut owner, linear, tol);
     *members[0].cache_mut(system) = cache;
     members[0].counters.merge(&owner);
     solved
 }
 
-/// One block PCG over the members' same-pattern matrices, preconditioned by
-/// the group preconditioner in `cache` under the lazy-refresh policy of
-/// [`solve_reduced`]: rebuilt after `precond_max_reuses` reuses, and
-/// eagerly refreshed when the panel's slowest column needs more than
-/// `precond_refresh_factor` times the first solve's iterations; `owner`
-/// counts the builds and reuses. Every member checks its iteration budget
-/// and consults its fault plan first, as [`solve_reduced`] does. A planned
-/// fault, a breakdown, a non-finite column or an unconverged column fails
-/// with a retryable error; there is no ladder here, [`step_panel`] redoes
-/// the step member by member.
+/// One block PCG to relative tolerance `tol` over the members'
+/// same-pattern matrices, preconditioned by the group preconditioner in
+/// `cache` under the lazy-refresh policy of [`solve_reduced`]: rebuilt after
+/// `precond_max_reuses` reuses, and eagerly refreshed when the panel's
+/// slowest column costs more than `precond_refresh_factor` times the first
+/// solve's slowest column; `owner` counts the builds and reuses. Every
+/// member checks its iteration budget and consults its fault plan first,
+/// as [`solve_reduced`] does. A planned fault, a breakdown, a non-finite
+/// column or an unconverged column fails with a retryable error; there is
+/// no ladder here, [`step_panel`] redoes the step member by member.
 fn block_solve(
     members: &mut [Session],
     system: Subsystem,
@@ -1719,6 +1821,7 @@ fn block_solve(
     cache: &mut SubsystemCache,
     owner: &mut SolveCounters,
     linear: &mut [usize],
+    tol: f64,
 ) -> Result<(), StepError> {
     let k = members.len();
     let compiled = Arc::clone(&members[0].compiled);
@@ -1765,7 +1868,10 @@ fn block_solve(
         &panel.b,
         &mut panel.x,
         precond,
-        &options.linear,
+        &CgOptions {
+            tol_rel: tol,
+            ..options.linear
+        },
         &mut panel.ws,
         &mut panel.reports,
     )
@@ -1790,10 +1896,12 @@ fn block_solve(
         panel.x.copy_col_into(j, &mut m.scratch.x_red);
         charge_solve(&mut m.counters, system, iterations);
         linear[j] += iterations;
-        slowest = slowest.max(iterations);
+        if iterations > panel.reports[slowest].iterations {
+            slowest = j;
+        }
     }
-    let base = *cache.baseline_iters.get_or_insert(slowest.max(1));
-    let degraded = slowest as f64 > options.precond_refresh_factor * base as f64;
+    let effort = Effort::of(&panel.reports[slowest], tol);
+    let degraded = cache.degraded(effort, options.precond_refresh_factor);
     if let (true, false, Some((a0, _))) = (degraded, fresh, members[0].assembled(system)) {
         // Refresh eagerly so the next panel solve starts from current
         // values.
@@ -1902,9 +2010,10 @@ enum Rung {
 ///
 /// Lazy-refresh policy: the factorization is reused until either (a) it has
 /// served [`SolverOptions::precond_max_reuses`] solves, or (b) a converged
-/// solve needs more than [`SolverOptions::precond_refresh_factor`] times
-/// the iterations of the first solve after the last (re)build — then it is
-/// refreshed in place over the frozen pattern.
+/// solve costs more than [`SolverOptions::precond_refresh_factor`] times
+/// the first solve after the last (re)build — in iterations at the same
+/// relative tolerance `tol`, in iterations per decade of residual reduction
+/// at another — then it is refreshed in place over the frozen pattern.
 ///
 /// Failure handling follows [`RecoveryPolicy`]: retryable failures
 /// (iteration cap, SPD breakdown, non-finite contamination) walk the
@@ -1926,8 +2035,12 @@ fn solve_reduced(
     x: &mut [f64],
     fault: Option<&FaultInjector>,
     budget_spent: &mut usize,
+    tol: f64,
 ) -> Result<usize, CoreError> {
-    let opts: CgOptions = options.linear;
+    let opts = CgOptions {
+        tol_rel: tol,
+        ..options.linear
+    };
     check_budget(recovery, *budget_spent)?;
 
     let mut fresh = if cache.precond.is_none() || cache.reuses >= options.precond_max_reuses {
@@ -2044,17 +2157,10 @@ fn solve_reduced(
     }
     charge_solve(counters, system, report.iterations);
 
-    match cache.baseline_iters {
-        None => cache.baseline_iters = Some(report.iterations.max(1)),
-        Some(base) => {
-            let degraded =
-                report.iterations as f64 > options.precond_refresh_factor * base as f64;
-            if degraded && !fresh {
-                // Refresh eagerly so the *next* solve starts from current
-                // values.
-                refresh_or_rebuild(options, counters, cache, a, fault)?;
-            }
-        }
+    let degraded = cache.degraded(Effort::of(&report, tol), options.precond_refresh_factor);
+    if degraded && !fresh {
+        // Refresh eagerly so the *next* solve starts from current values.
+        refresh_or_rebuild(options, counters, cache, a, fault)?;
     }
     Ok(report.iterations)
 }
@@ -2233,6 +2339,81 @@ mod tests {
         let a = s.run_transient(5.0, 5, &[5.0]).unwrap();
         let b = f.run_transient(5.0, 5, &[5.0]).unwrap();
         assert_eq!(a.snapshots[0].1, b.snapshots[0].1);
+    }
+
+    /// A five-point Laplacian on an `m × m` grid with its rows and columns
+    /// scaled by `d`.
+    fn scaled_laplacian(m: usize, d: impl Fn(usize) -> f64) -> Csr {
+        use etherm_numerics::sparse::Coo;
+        let mut coo = Coo::new(m * m, m * m);
+        for i in 0..m {
+            for j in 0..m {
+                let r = i * m + j;
+                coo.push(r, r, 4.0 * d(r) * d(r));
+                let mut link = |c: usize| coo.push(r, c, -d(r) * d(c));
+                if i > 0 {
+                    link(r - m);
+                }
+                if i + 1 < m {
+                    link(r + m);
+                }
+                if j > 0 {
+                    link(r - 1);
+                }
+                if j + 1 < m {
+                    link(r + 1);
+                }
+            }
+        }
+        Csr::from_coo(&coo)
+    }
+
+    /// Solves `a x = 1` from the guess `x` to `tol` through the cached
+    /// solve, returning the iterations.
+    fn cached_solve(
+        options: &SolverOptions,
+        cache: &mut SubsystemCache,
+        counters: &mut SolveCounters,
+        a: &Csr,
+        x: &mut [f64],
+        tol: f64,
+    ) -> usize {
+        let b = vec![1.0; a.n_rows()];
+        let recovery = RecoveryPolicy::default();
+        let (system, mut spent) = (Subsystem::ThermalTransient, 0);
+        solve_reduced(
+            options, &recovery, counters, cache, system, a, &b, x, None, &mut spent, tol,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn refresh_trigger_compares_like_with_like() {
+        let options = SolverOptions {
+            preconditioner: PrecondKind::Jacobi,
+            ..SolverOptions::default()
+        };
+        let a = scaled_laplacian(48, |_| 1.0);
+        let n = a.n_rows();
+        let mut cache = SubsystemCache::default();
+        let mut counters = SolveCounters::default();
+        // A loose solve from a good guess, as a Picard iterate's first
+        // solve starts from the step predictor, then a tight one from cold.
+        let mut guess = vec![0.0; n];
+        etherm_numerics::solvers::cg(&a, &vec![1.0; n], &mut guess, &CgOptions::with_tol(1e-2))
+            .unwrap();
+        let loose = cached_solve(&options, &mut cache, &mut counters, &a, &mut guess, 1e-4);
+        let tight = cached_solve(&options, &mut cache, &mut counters, &a, &mut vec![0.0; n], 1e-9);
+        // Raw iteration counts would call the tight solve degraded.
+        assert!(
+            tight as f64 > options.precond_refresh_factor * loose as f64,
+            "{loose} then {tight} iterations"
+        );
+        assert_eq!(counters.precond_rebuilds, 1, "same matrix, refreshed");
+        // Rescaled rows and columns: the cached Jacobi diagonal is stale.
+        let changed = scaled_laplacian(48, |r| 1.0 + 9.0 * ((r * 7) % 13) as f64 / 12.0);
+        cached_solve(&options, &mut cache, &mut counters, &changed, &mut vec![0.0; n], 1e-6);
+        assert_eq!(counters.precond_rebuilds, 2, "changed matrix, not refreshed");
     }
 
     #[test]

@@ -276,13 +276,10 @@ pub fn block_pcg_with<A: BlockLinOp + ?Sized, P: Preconditioner + ?Sized>(
             });
         }
         ws.res[j] = res;
+        reports[j].initial_residual = res;
         if res <= ws.target[j] {
             ws.active[j] = false;
-            reports[j] = SolveReport {
-                converged: true,
-                iterations: 0,
-                residual: res,
-            };
+            reports[j].residual = res;
         } else {
             ws.active[j] = true;
             n_active += 1;
@@ -367,6 +364,7 @@ pub fn block_pcg_with<A: BlockLinOp + ?Sized, P: Preconditioner + ?Sized>(
                     converged: true,
                     iterations: iter,
                     residual: res,
+                    ..reports[j]
                 };
             }
         }
@@ -404,6 +402,7 @@ pub fn block_pcg_with<A: BlockLinOp + ?Sized, P: Preconditioner + ?Sized>(
                 converged: false,
                 iterations: cap,
                 residual: ws.res[j],
+                ..reports[j]
             };
         }
     }
@@ -469,6 +468,33 @@ mod tests {
         assert_eq!(reports[0].iterations, rep_ref.iterations);
         assert_eq!(reports[0].residual.to_bits(), rep_ref.residual.to_bits());
         assert_eq!(x.col_vec(0), x_ref);
+    }
+
+    #[test]
+    fn reports_carry_the_scalar_initial_residual() {
+        let a = lap2d(8);
+        let n = a.n_rows();
+        let b = rhs_panel(n, 2);
+        let opts = CgOptions::default();
+        let jacobi = JacobiPrecond::new(&a).unwrap();
+        // Column 1 starts at its own solution: no iteration, no reduction.
+        let mut x = MultiVec::zeros(n, 2);
+        let mut solved = vec![0.0; n];
+        pcg_with(&a, &b.col_vec(1), &mut solved, &jacobi, &opts, &mut KrylovWorkspace::new())
+            .unwrap();
+        x.copy_col_from(1, &solved);
+        let mut reports = Vec::new();
+        let mut ws = BlockKrylovWorkspace::new();
+        block_pcg_with(&a, &b, &mut x, &jacobi, &opts, &mut ws, &mut reports).unwrap();
+        for (j, guess) in [vec![0.0; n], solved].into_iter().enumerate() {
+            let mut x_ref = guess;
+            let mut kw = KrylovWorkspace::new();
+            let rep = pcg_with(&a, &b.col_vec(j), &mut x_ref, &jacobi, &opts, &mut kw).unwrap();
+            assert_eq!(reports[j].initial_residual.to_bits(), rep.initial_residual.to_bits());
+        }
+        assert!(reports[0].decades() >= 9.0, "{}", reports[0].decades());
+        assert_eq!(reports[1].iterations, 0);
+        assert_eq!(reports[1].decades(), 0.0);
     }
 
     #[test]

@@ -151,11 +151,13 @@ pub fn pcg_with<A: LinOp + ?Sized, P: Preconditioner + ?Sized>(
             detail: "initial residual",
         });
     }
+    let initial_residual = res_norm;
     if res_norm <= target {
         return Ok(SolveReport {
             converged: true,
             iterations: 0,
             residual: res_norm,
+            initial_residual,
         });
     }
 
@@ -196,6 +198,7 @@ pub fn pcg_with<A: LinOp + ?Sized, P: Preconditioner + ?Sized>(
                 converged: true,
                 iterations: iter,
                 residual: res_norm,
+                initial_residual,
             });
         }
         precond.apply(r, z);
@@ -209,6 +212,7 @@ pub fn pcg_with<A: LinOp + ?Sized, P: Preconditioner + ?Sized>(
         converged: false,
         iterations: max_iter,
         residual: res_norm,
+        initial_residual,
     })
 }
 

@@ -34,6 +34,8 @@ pub struct SolveReport {
     pub iterations: usize,
     /// Final true residual norm `‖b − A x‖₂`.
     pub residual: f64,
+    /// Residual norm `‖b − A x₀‖₂` of the initial guess.
+    pub initial_residual: f64,
 }
 
 impl SolveReport {
@@ -43,7 +45,15 @@ impl SolveReport {
             converged: true,
             iterations: 0,
             residual: 0.0,
+            initial_residual: 0.0,
         }
+    }
+
+    /// Decades of residual reduction the solve achieved,
+    /// `log₁₀(initial_residual / residual)`: `0` when no iteration ran,
+    /// non-finite when either residual is zero.
+    pub fn decades(&self) -> f64 {
+        (self.initial_residual / self.residual).log10()
     }
 }
 
@@ -73,6 +83,7 @@ mod tests {
             converged: true,
             iterations: 7,
             residual: 1e-11,
+            initial_residual: 1e-2,
         };
         let s = r.to_string();
         assert!(s.contains("converged") && s.contains('7'));

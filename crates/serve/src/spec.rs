@@ -27,8 +27,10 @@ use etherm_package::{build_model, BuildOptions, PackageGeometry};
 pub enum SolverProfile {
     /// [`SolverOptions::default`]: the accuracy-first paper configuration.
     Default,
-    /// [`SolverOptions::uq`]: the campaign profile (cheaper preconditioner
-    /// refresh policy).
+    /// [`SolverOptions::uq`]: the campaign profile (AMG preconditioner,
+    /// inexact Picard through [`SolverOptions::picard_forcing`]); answers
+    /// agree with the `Default` profile within `picard_tol × T`, not to
+    /// the CG tolerance.
     Uq,
     /// [`SolverOptions::fast`]: the latency-first profile.
     Fast,
