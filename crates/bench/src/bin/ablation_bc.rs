@@ -7,7 +7,7 @@
 //! the transient under each boundary variant.
 
 use etherm_bench::{arg_usize, build_paper_package};
-use etherm_core::{Simulator, SolverOptions};
+use etherm_core::{Session, SolverOptions};
 use etherm_fit::boundary::ThermalBoundary;
 use etherm_grid::Face;
 use etherm_package::builder::PAPER_FIG7_AREA_SCALE;
@@ -41,8 +41,9 @@ fn main() {
     for (name, boundary) in variants {
         let mut built = build_paper_package();
         built.model.set_thermal_boundary(boundary);
-        let sim = Simulator::new(&built.model, SolverOptions::fast()).expect("simulator");
-        let sol = sim.run_transient(50.0, steps, &[]).expect("transient");
+        let sol = Session::new(built.compile(SolverOptions::fast()).expect("compile"))
+            .run_transient(50.0, steps, &[])
+            .expect("transient");
         let series = sol.max_wire_series();
         let i10 = steps * 10 / 50;
         let i30 = steps * 30 / 50;

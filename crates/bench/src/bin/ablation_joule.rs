@@ -7,7 +7,7 @@
 //! quantifies how much the choice moves the wire-temperature QoI.
 
 use etherm_bench::{arg_usize, build_paper_package};
-use etherm_core::{JouleScheme, Simulator, SolverOptions};
+use etherm_core::{JouleScheme, Session, SolverOptions};
 use etherm_report::TextTable;
 
 fn main() {
@@ -22,8 +22,9 @@ fn main() {
     ] {
         let mut options = SolverOptions::fast();
         options.joule = scheme;
-        let sim = Simulator::new(&built.model, options).expect("simulator");
-        let sol = sim.run_transient(50.0, steps, &[]).expect("transient");
+        let sol = Session::new(built.compile(options).expect("compile"))
+            .run_transient(50.0, steps, &[])
+            .expect("transient");
         rows.push((
             name,
             sol.max_wire_series()[steps],

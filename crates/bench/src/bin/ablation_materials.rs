@@ -13,7 +13,7 @@
 //!         [--steps S]`
 
 use etherm_bench::{arg_usize, mc_build_options};
-use etherm_core::{Simulator, SolverOptions};
+use etherm_core::{Session, SolverOptions};
 use etherm_materials::library;
 use etherm_package::{build_model, PackageGeometry};
 use etherm_report::TextTable;
@@ -44,8 +44,9 @@ fn main() {
                 built.model.replace_wire(j, wire).expect("replace wire");
             }
         }
-        let sim = Simulator::new(&built.model, SolverOptions::fast()).expect("simulator");
-        let sol = sim.run_transient(50.0, steps, &[]).expect("transient");
+        let sol = Session::new(built.compile(SolverOptions::fast()).expect("compile"))
+            .run_transient(50.0, steps, &[])
+            .expect("transient");
         let hot = sol
             .hottest_wire()
             .map(|(_, t)| t)

@@ -8,7 +8,7 @@
 //! becomes visible with internal nodes.
 
 use etherm_bench::arg_usize;
-use etherm_core::{Simulator, SolverOptions};
+use etherm_core::{Session, SolverOptions};
 use etherm_package::{build_model, BuildOptions, PackageGeometry};
 use etherm_report::TextTable;
 
@@ -33,17 +33,16 @@ fn main() {
         opts.target_spacing_xy = 0.42e-3;
         opts.target_spacing_z = 0.22e-3;
         let built = build_model(&geometry, &opts).expect("build");
-        let sim = Simulator::new(&built.model, SolverOptions::fast()).expect("simulator");
-        let sol = sim.run_transient(50.0, steps, &[]).expect("transient");
+        let mut session = Session::new(built.compile(SolverOptions::fast()).expect("compile"));
+        let sol = session.run_transient(50.0, steps, &[50.0]).expect("transient");
         let endpoint = sol.max_wire_series()[steps];
 
         // Interior hot spot: inspect the final snapshot through the layout.
-        let sim2 = Simulator::new(&built.model, SolverOptions::fast()).expect("simulator");
-        let sol2 = sim2.run_transient(50.0, steps, &[50.0]).expect("transient");
-        let (_, state) = &sol2.snapshots[0];
+        let (_, state) = &sol.snapshots[0];
         let mut wire_max = f64::NEG_INFINITY;
         for j in 0..12 {
-            wire_max = wire_max.max(sim2.layout().topology(j).max_temperature(state));
+            let topology = session.compiled().layout().topology(j);
+            wire_max = wire_max.max(topology.max_temperature(state));
         }
         let extra = (segments - 1) * 12;
         t.add_row_owned(vec![

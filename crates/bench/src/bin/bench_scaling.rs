@@ -23,7 +23,7 @@
 //! - `--out PATH`: output path (default `BENCH_scaling.json`)
 
 use etherm_bench::{arg_f64, arg_flag, arg_usize, arg_value, timed_transient_run, RunRecord};
-use etherm_core::{PrecondKind, Simulator, SolverOptions};
+use etherm_core::{PrecondKind, SolverOptions};
 use etherm_package::{build_model, BuildOptions, PackageGeometry};
 
 struct MeshResult {
@@ -76,9 +76,7 @@ fn main() {
             ..BuildOptions::paper_fig7()
         };
         let built = build_model(&geometry, &opts).expect("package builds");
-        let probe = Simulator::new(&built.model, ic_options.clone()).expect("simulator");
-        let dofs = probe.layout().n_total();
-        drop(probe);
+        let dofs = built.compile(ic_options.clone()).expect("compile").layout().n_total();
         eprintln!("== {label}: {dofs} DoFs ({steps} steps over {t_end} s) ==");
 
         let (ic, sol_ic) = timed_transient_run(

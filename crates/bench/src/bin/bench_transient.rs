@@ -22,7 +22,7 @@
 //! - `--out PATH`: output path (default `BENCH_transient.json`)
 
 use etherm_bench::{arg_f64, arg_flag, arg_usize, arg_value, escape_json, timed_transient_run};
-use etherm_core::{PrecondKind, Simulator, SolverOptions};
+use etherm_core::{PrecondKind, SolverOptions};
 use etherm_package::{build_model, BuildOptions, PackageGeometry};
 
 fn main() {
@@ -62,9 +62,7 @@ fn main() {
         ..SolverOptions::rebuild_every_solve()
     };
 
-    let sim_probe = Simulator::new(&built.model, lazy.clone()).expect("simulator");
-    let dofs = sim_probe.layout().n_total();
-    drop(sim_probe);
+    let dofs = built.compile(lazy.clone()).expect("compile").layout().n_total();
     eprintln!("paper package: {dofs} DoFs, {steps} steps over {t_end} s");
 
     let (rec_ref, sol_ref) = timed_transient_run(

@@ -6,9 +6,9 @@
 //! the paper package at the same thread count, all with tight (default)
 //! solver tolerances so their physics must agree to ~1e-7 K:
 //!
-//! 1. `rebuild ic(1)` — the pre-refactor path: `apply_elongations` +
-//!    `Simulator::new(SolverOptions::default())` per sample. This is what
-//!    a UQ campaign cost before this change.
+//! 1. `rebuild ic(1)` — the pre-refactor path: `apply_elongations` + a
+//!    fresh `CompiledModel` and `Session` with `SolverOptions::default()`
+//!    per sample. This is what a UQ campaign cost before session reuse.
 //! 2. `rebuild amg` — the same per-sample rebuild with the UQ solver
 //!    profile (`SolverOptions::uq()`): isolates the preconditioner effect.
 //! 3. `session exact` — the ensemble engine in exact mode: compiled once,
@@ -40,8 +40,7 @@ use etherm_bench::{
     arg_f64, arg_flag, arg_usize, arg_value, flatten_wire_series, iid_inputs, RunRecord,
 };
 use etherm_core::{
-    run_ensemble, run_ensemble_batched, EnsembleOptions, Simulator, SolveCounters,
-    SolverOptions,
+    run_ensemble, run_ensemble_batched, EnsembleOptions, Session, SolveCounters, SolverOptions,
 };
 use etherm_package::{
     build_model, paper_elongation_distribution, BuildOptions, BuiltPackage, PackageGeometry,
@@ -50,7 +49,7 @@ use etherm_uq::{draw_samples, MonteCarloSampler};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The pre-refactor campaign: fresh `Simulator` per sample, same
+/// The pre-refactor campaign: the model recompiled per sample, same
 /// contiguous-chunk split as the ensemble engine. Returns sample-ordered
 /// QoIs, merged counters and the wall time.
 fn rebuild_campaign(
@@ -75,10 +74,10 @@ fn rebuild_campaign(
                 let mut out = Vec::with_capacity(block.len());
                 for (k, deltas) in block.iter().enumerate() {
                     local.apply_elongations(deltas).expect("valid deltas");
-                    let sim =
-                        Simulator::new(&local.model, options.clone()).expect("simulator");
-                    let sol = sim.run_transient(t_end, steps, &[]).expect("transient");
-                    counters.lock().unwrap().merge(&sim.counters());
+                    let mut session =
+                        Session::new(local.compile(options.clone()).expect("compile"));
+                    let sol = session.run_transient(t_end, steps, &[]).expect("transient");
+                    counters.lock().unwrap().merge(&session.counters());
                     out.push((c * chunk + k, flatten_wire_series(&sol)));
                 }
                 out
@@ -208,10 +207,7 @@ fn main() {
     };
     let opts_ic = campaign(SolverOptions::default());
     let opts_uq = campaign(SolverOptions::uq());
-    let dofs = {
-        let probe = Simulator::new(&built.model, opts_ic.clone()).expect("simulator");
-        probe.layout().n_total()
-    };
+    let dofs = built.compile(opts_ic.clone()).expect("compile").layout().n_total();
     eprintln!(
         "bench_uq: {samples}-sample campaign, {dofs} DoFs, {steps} steps over {t_end} s, \
          {threads} thread(s)"

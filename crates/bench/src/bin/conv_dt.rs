@@ -5,7 +5,7 @@
 //! consistency check for the paper's 51-point discretization.
 
 use etherm_bench::build_paper_package;
-use etherm_core::{Simulator, SolverOptions};
+use etherm_core::{Session, SolverOptions};
 use etherm_report::TextTable;
 
 fn main() {
@@ -14,9 +14,10 @@ fn main() {
 
     println!("A5: implicit-Euler convergence of E_hot(50 s)\n");
     let mut results = Vec::new();
+    let mut session = Session::new(built.compile(SolverOptions::fast()).expect("compile"));
     for &steps in &step_counts {
-        let sim = Simulator::new(&built.model, SolverOptions::fast()).expect("simulator");
-        let sol = sim.run_transient(50.0, steps, &[]).expect("transient");
+        session.reset();
+        let sol = session.run_transient(50.0, steps, &[]).expect("transient");
         results.push((steps, sol.max_wire_series()[steps]));
         eprintln!("  {steps} steps done");
     }

@@ -5,7 +5,7 @@
 //! production mesh.
 
 use etherm_bench::arg_usize;
-use etherm_core::{Simulator, SolverOptions};
+use etherm_core::{Session, SolverOptions};
 use etherm_package::{build_model, BuildOptions, PackageGeometry};
 use etherm_report::TextTable;
 
@@ -29,8 +29,9 @@ fn main() {
             ..BuildOptions::paper_fig7()
         };
         let built = build_model(&geometry, &opts).expect("build");
-        let sim = Simulator::new(&built.model, SolverOptions::fast()).expect("simulator");
-        let sol = sim.run_transient(50.0, steps, &[]).expect("transient");
+        let sol = Session::new(built.compile(SolverOptions::fast()).expect("compile"))
+            .run_transient(50.0, steps, &[])
+            .expect("transient");
         let e = sol.max_wire_series()[steps];
         results.push((name, hxy, built.model.grid().n_nodes(), e));
         eprintln!("  {name} done ({} nodes)", built.model.grid().n_nodes());

@@ -10,7 +10,8 @@
 //! Usage: `cargo run --release -p etherm-bench --bin conv_pce --
 //!         [--samples N] [--degree P] [--steps S]`
 
-use etherm_bench::{arg_usize, build_paper_package, mc_sample_outputs};
+use etherm_bench::{arg_usize, build_paper_package, flatten_wire_series, mc_sample_outputs};
+use etherm_core::{Session, SolverOptions};
 use etherm_package::paper_elongation_distribution;
 use etherm_report::TextTable;
 use etherm_uq::special::normal_quantile;
@@ -34,7 +35,9 @@ fn main() {
     println!("A10: PCE (degree {degree}, {basis_size} terms, {n_fit} fit samples) vs MC");
     println!("QoI: hottest-wire temperature at t = 50 s, {steps} implicit-Euler steps\n");
 
-    let mut built = build_paper_package();
+    let built = build_paper_package();
+    let mut session = Session::new(built.compile(SolverOptions::fast()).expect("compile"));
+    let scenario = built.elongation_scenario(50.0, steps, flatten_wire_series);
     let mut rng = StdRng::seed_from_u64(2016);
     let mut xi_samples: Vec<Vec<f64>> = Vec::with_capacity(n_fit);
     let mut responses: Vec<f64> = Vec::with_capacity(n_fit);
@@ -45,7 +48,7 @@ fn main() {
             .map(|_| normal_quantile(rng.gen::<f64>().clamp(1e-12, 1.0 - 1e-12)))
             .collect();
         let deltas: Vec<f64> = xi.iter().map(|&x| (mu + sd * x).min(0.9)).collect();
-        let outputs = mc_sample_outputs(&mut built, &deltas, steps);
+        let outputs = mc_sample_outputs(&mut session, &scenario, &deltas);
         // Hottest wire at the final time.
         let hottest = (0..N_WIRES)
             .map(|j| outputs[j * (steps + 1) + steps])

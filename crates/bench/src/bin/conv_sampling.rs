@@ -5,7 +5,8 @@
 //! Compares the replication scatter of the mean hottest-wire temperature
 //! across the three designs at equal sample budgets.
 
-use etherm_bench::{arg_usize, build_paper_package, iid_inputs};
+use etherm_bench::{arg_usize, build_paper_package, iid_inputs, mc_sample_outputs};
+use etherm_core::{Session, SolverOptions};
 use etherm_package::paper_elongation_distribution;
 use etherm_report::TextTable;
 use etherm_uq::{
@@ -16,7 +17,9 @@ fn main() {
     let m = arg_usize("samples", 16);
     let reps = arg_usize("reps", 3);
     let steps = arg_usize("steps", 25);
-    let mut built = build_paper_package();
+    let built = build_paper_package();
+    let mut session = Session::new(built.compile(SolverOptions::fast()).expect("compile"));
+    let scenario = built.elongation_scenario(50.0, steps, |sol| vec![sol.max_wire_series()[steps]]);
     let delta = paper_elongation_distribution();
     let dists = iid_inputs(&delta, 12);
 
@@ -37,16 +40,7 @@ fn main() {
                 m,
                 McOptions::default(),
                 |_, deltas| -> Result<Vec<f64>, String> {
-                    built.apply_elongations(deltas).map_err(|e| e.to_string())?;
-                    let sim = etherm_core::Simulator::new(
-                        &built.model,
-                        etherm_core::SolverOptions::fast(),
-                    )
-                    .map_err(|e| e.to_string())?;
-                    let sol = sim
-                        .run_transient(50.0, steps, &[])
-                        .map_err(|e| e.to_string())?;
-                    Ok(vec![sol.max_wire_series()[steps]])
+                    Ok(mc_sample_outputs(&mut session, &scenario, deltas))
                 },
             )
             .expect("run");

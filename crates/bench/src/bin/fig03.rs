@@ -1,7 +1,7 @@
 //! **Fig. 3** — the X-ray measurement of the investigated chip.
 //!
 //! The physical photographs are replaced by the synthetic metrology model
-//! (DESIGN.md §4): this binary prints the per-wire measurement record the
+//! (README, "Reproduction choices"): this binary prints the per-wire measurement record the
 //! "X-ray" produces — direct distance `d`, misplacement `Δs`, bending `Δh`
 //! (with the camera quirk hiding it for 6 of 12 wires), total length `L`
 //! and relative elongation `δ`.
@@ -20,7 +20,7 @@ fn main() {
     let measurements = xray.measure(&geometry);
 
     println!("Fig. 3: synthetic X-ray metrology of the 12 bonding wires (seed {seed})");
-    println!("(substitutes the paper's photographs; see DESIGN.md §4)\n");
+    println!("(substitutes the paper's photographs; see README, \"Reproduction choices\")\n");
     let mut t = TextTable::new(&[
         "wire", "d [mm]", "ds [mm]", "dh true [mm]", "dh observed", "L [mm]", "delta",
     ]);

@@ -82,7 +82,8 @@ fn main() {
         built.model.grid().n_nodes()
     );
     println!(
-        "calibrated environment (DESIGN.md §4): cooled-area fraction {}, mold rho_c {:.1e} J/K/m3.",
+        "calibrated environment (README, \"Reproduction choices\"): cooled-area fraction {}, \
+         mold rho_c {:.1e} J/K/m3.",
         bc.area_scale,
         built.model.materials().get(0).rho_c()
     );

@@ -8,7 +8,8 @@
 //! Usage: `cargo run --release -p etherm-bench --bin variance_reduction --
 //!         [--pairs N] [--steps S]`
 
-use etherm_bench::{arg_usize, build_paper_package, mc_sample_outputs};
+use etherm_bench::{arg_usize, build_paper_package, flatten_wire_series, mc_sample_outputs};
+use etherm_core::{Session, SolverOptions};
 use etherm_package::paper_elongation_distribution;
 use etherm_report::TextTable;
 use etherm_uq::{antithetic, Distribution, RunningStats};
@@ -23,7 +24,9 @@ fn main() {
     let delta_dist = paper_elongation_distribution();
     println!("A11: antithetic variates vs plain MC, {n_pairs} pairs, {steps} steps\n");
 
-    let mut built = build_paper_package();
+    let built = build_paper_package();
+    let mut session = Session::new(built.compile(SolverOptions::fast()).expect("compile"));
+    let scenario = built.elongation_scenario(50.0, steps, flatten_wire_series);
     let mut hottest_of = |u: &[f64]| -> f64 {
         let deltas: Vec<f64> = u
             .iter()
@@ -33,7 +36,7 @@ fn main() {
                     .min(0.9)
             })
             .collect();
-        let outputs = mc_sample_outputs(&mut built, &deltas, steps);
+        let outputs = mc_sample_outputs(&mut session, &scenario, &deltas);
         (0..N_WIRES)
             .map(|j| outputs[j * (steps + 1) + steps])
             .fold(f64::NEG_INFINITY, f64::max)

@@ -1,19 +1,20 @@
 //! Shared helpers for the experiment regeneration binaries.
 //!
-//! One binary per table/figure of the paper lives in `src/bin/`; see
-//! DESIGN.md §5 for the experiment index. This library provides the tiny
+//! One binary per table/figure of the paper lives in `src/bin/`, named
+//! after it (`fig07`, `table02`, …); README, "Reproduction choices", lists
+//! where they depart from the paper. This library provides the tiny
 //! argument parser (no CLI dependencies) and the package/Monte Carlo
 //! plumbing every experiment shares.
 
 #![forbid(unsafe_code)]
 
-use etherm_core::{Simulator, SolveCounters, SolverOptions, TransientSolution};
+use etherm_core::{Scenario, Session, SolveCounters, SolverOptions, TransientSolution};
 use etherm_package::{build_model, BuildOptions, BuiltPackage, PackageGeometry};
 use etherm_uq::dist::Distribution;
 
 /// One benchmark run in the record schema shared by `BENCH_transient.json`
 /// and `BENCH_scaling.json`: configuration label, preconditioner name, wall
-/// time and the simulator's cumulative solve/preconditioner counters.
+/// time and the session's cumulative solve/preconditioner counters.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
     /// Human-readable configuration label.
@@ -140,13 +141,13 @@ pub fn timed_transient_run(
     t_end: f64,
     steps: usize,
 ) -> (RunRecord, TransientSolution) {
-    let sim = Simulator::new(&built.model, solver.clone()).expect("simulator");
+    let mut session = Session::new(built.compile(solver.clone()).expect("compile"));
     let start = std::time::Instant::now();
-    let solution = sim
+    let solution = session
         .run_transient(t_end, steps, &[t_end])
         .expect("transient run");
     let wall_s = start.elapsed().as_secs_f64();
-    let record = RunRecord::new(config, &solver, wall_s, &solution, sim.counters());
+    let record = RunRecord::new(config, &solver, wall_s, &solution, session.counters());
     (record, solution)
 }
 
@@ -221,42 +222,26 @@ pub fn build_paper_package() -> BuiltPackage {
 /// Panics on solver failure — experiments should fail loudly.
 pub fn run_paper_transient(built: &BuiltPackage, snapshots: &[f64]) -> TransientSolution {
     let steps = arg_usize("steps", 50);
-    let sim = Simulator::new(&built.model, SolverOptions::fast()).expect("simulator");
-    sim.run_transient(50.0, steps, snapshots).expect("transient solve")
+    Session::new(built.compile(SolverOptions::fast()).expect("compile"))
+        .run_transient(50.0, steps, snapshots)
+        .expect("transient solve")
 }
 
-/// Evaluates one Monte Carlo sample the pre-session way: applies the
-/// elongations to the model and rebuilds the simulator. Kept as the
-/// rebuild-per-sample *baseline* of `bench_uq`; campaign code should use
-/// [`BuiltPackage::elongation_scenario`] with `etherm_core::run_ensemble`
-/// instead.
+/// Evaluates one Monte Carlo sample on a session over a model compiled
+/// once: resets the session (exact mode), applies the sample and runs the
+/// scenario — bit-identical to recompiling the model for every sample.
 ///
 /// # Panics
 ///
-/// Panics on solver failure.
-pub fn mc_sample_outputs(built: &mut BuiltPackage, deltas: &[f64], steps: usize) -> Vec<f64> {
-    mc_sample_outputs_with(built, deltas, steps, SolverOptions::fast())
-}
-
-/// [`mc_sample_outputs`] with explicit solver options.
-///
-/// # Panics
-///
-/// Panics on solver failure.
-pub fn mc_sample_outputs_with(
-    built: &mut BuiltPackage,
-    deltas: &[f64],
-    steps: usize,
-    options: SolverOptions,
+/// Panics on an invalid sample or a solver failure.
+pub fn mc_sample_outputs(
+    session: &mut Session,
+    scenario: &impl Scenario,
+    sample: &[f64],
 ) -> Vec<f64> {
-    built
-        .apply_elongations(deltas)
-        .expect("sampled elongations are < 1");
-    let sim = Simulator::new(&built.model, options).expect("simulator");
-    let sol = sim
-        .run_transient(50.0, steps, &[])
-        .expect("transient solve");
-    flatten_wire_series(&sol)
+    session.reset();
+    scenario.apply(session, sample).expect("sampled elongations are < 1");
+    scenario.evaluate(session).expect("transient solve")
 }
 
 /// Flattens a solution into the campaign QoI layout `wire × time` (output

@@ -6,7 +6,7 @@
 //! within solver tolerance while the lazy run performs strictly fewer
 //! preconditioner builds than solves.
 
-use etherm_core::{Simulator, SolverOptions};
+use etherm_core::{Session, SolverOptions};
 use etherm_package::{build_model, BuildOptions, BuiltPackage, PackageGeometry};
 
 fn coarse_package() -> BuiltPackage {
@@ -24,17 +24,17 @@ fn lagged_preconditioner_matches_rebuild_every_solve() {
     let t_end = 6.0;
     let steps = 3;
 
-    let sim_ref = Simulator::new(&built.model, SolverOptions::rebuild_every_solve()).unwrap();
-    let sol_ref = sim_ref.run_transient(t_end, steps, &[t_end]).unwrap();
-    let c_ref = sim_ref.counters();
+    let mut s_ref = Session::new(built.compile(SolverOptions::rebuild_every_solve()).unwrap());
+    let sol_ref = s_ref.run_transient(t_end, steps, &[t_end]).unwrap();
+    let c_ref = s_ref.counters();
     let solves_ref = c_ref.electrical_solves + c_ref.thermal_solves;
     // Cache disabled: every solve (re)builds, nothing is reused.
     assert_eq!(c_ref.precond_reuses, 0);
     assert!(c_ref.precond_rebuilds >= solves_ref);
 
-    let sim_lazy = Simulator::new(&built.model, SolverOptions::default()).unwrap();
-    let sol_lazy = sim_lazy.run_transient(t_end, steps, &[t_end]).unwrap();
-    let c_lazy = sim_lazy.counters();
+    let mut s_lazy = Session::new(built.compile(SolverOptions::default()).unwrap());
+    let sol_lazy = s_lazy.run_transient(t_end, steps, &[t_end]).unwrap();
+    let c_lazy = s_lazy.counters();
     let solves_lazy = c_lazy.electrical_solves + c_lazy.thermal_solves;
 
     // The lazy cache must actually reuse factorizations: strictly fewer
@@ -75,12 +75,12 @@ fn stationary_solve_uses_its_own_cache() {
         picard_max_iter: 80,
         ..SolverOptions::default()
     };
-    let sim = Simulator::new(&built.model, options).unwrap();
-    let st1 = sim.solve_stationary().unwrap();
-    let st2 = sim.solve_stationary().unwrap();
+    let mut session = Session::new(built.compile(options).unwrap());
+    let st1 = session.solve_stationary().unwrap();
+    let st2 = session.solve_stationary().unwrap();
     assert!(st1.converged && st2.converged);
     // Second stationary solve reuses the cached stationary preconditioner.
-    let c = sim.counters();
+    let c = session.counters();
     assert!(c.precond_reuses > 0);
     let diff = st1
         .temperature

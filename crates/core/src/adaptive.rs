@@ -10,13 +10,11 @@
 
 use crate::error::CoreError;
 use crate::session::Session;
-use crate::simulator::Simulator;
 use crate::solution::TransientSolution;
 use etherm_numerics::vector;
 use std::sync::Arc;
 
-/// Controls for [`Session::run_transient_adaptive`] (and the
-/// [`Simulator::run_transient_adaptive`] facade).
+/// Controls for [`Session::run_transient_adaptive`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveOptions {
     /// Target local error per step, in Kelvin (∞-norm over all DoFs).
@@ -52,8 +50,7 @@ impl Session {
     /// supported here — use the fixed-step [`Session::run_transient`] for
     /// field dumps at exact times.
     ///
-    /// Living on the session (rather than the [`Simulator`] facade, which
-    /// now merely delegates), the controller is available to ensemble and
+    /// Living on the session, the controller is available to ensemble and
     /// reliability workers that hold long-lived sessions.
     ///
     /// The controller clamps every proposed step to `[dt_min, dt_max]` and
@@ -133,30 +130,19 @@ impl Session {
     }
 }
 
-impl<'m> Simulator<'m> {
-    /// Runs the transient over `[0, t_end]` with adaptive step sizes — a
-    /// thin delegate to [`Session::run_transient_adaptive`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::run_transient_adaptive`].
-    pub fn run_transient_adaptive(
-        &self,
-        t_end: f64,
-        options: &AdaptiveOptions,
-    ) -> Result<TransientSolution, CoreError> {
-        self.with_session(|session| session.run_transient_adaptive(t_end, options))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompiledModel;
     use crate::model::ElectrothermalModel;
     use crate::options::SolverOptions;
     use etherm_fit::boundary::ThermalBoundary;
     use etherm_grid::{Axis, CellPaint, Grid3, MaterialId};
     use etherm_materials::{Material, MaterialTable, TemperatureModel};
+
+    fn session(model: ElectrothermalModel) -> Session {
+        Session::new(CompiledModel::compile(model, SolverOptions::default()).unwrap())
+    }
 
     fn cooling_block() -> ElectrothermalModel {
         let grid = Grid3::new(
@@ -204,10 +190,9 @@ mod tests {
 
     #[test]
     fn adaptive_matches_fine_fixed_step() {
-        let model = driven_wire_block();
-        let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
+        let mut s = session(driven_wire_block());
         let tol = 0.02;
-        let adaptive = sim
+        let adaptive = s
             .run_transient_adaptive(
                 5.0,
                 &AdaptiveOptions {
@@ -217,7 +202,7 @@ mod tests {
                 },
             )
             .unwrap();
-        let fixed = sim.run_transient(5.0, 500, &[]).unwrap();
+        let fixed = s.run_transient(5.0, 500, &[]).unwrap();
         assert!((adaptive.times.last().unwrap() - 5.0).abs() < 1e-9);
         // Each accepted step commits a local error of at most `tol` (the
         // step-doubling estimate of the full step, larger than the error of
@@ -241,9 +226,8 @@ mod tests {
 
     #[test]
     fn steps_at_dt_min_are_accepted_whatever_the_error() {
-        let model = cooling_block();
-        let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
-        let sol = sim
+        let mut s = session(cooling_block());
+        let sol = s
             .run_transient_adaptive(
                 2.0,
                 &AdaptiveOptions {
@@ -260,9 +244,8 @@ mod tests {
 
     #[test]
     fn adaptive_needs_fewer_steps_than_equivalent_fixed() {
-        let model = cooling_block();
-        let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
-        let adaptive = sim
+        let mut s = session(cooling_block());
+        let adaptive = s
             .run_transient_adaptive(
                 10.0,
                 &AdaptiveOptions {
@@ -287,32 +270,10 @@ mod tests {
         // run starting with dt_init = 0.5 on the same session would
         // otherwise extrapolate its first CG guess from the previous run's
         // final step.
-        use crate::compiled::CompiledModel;
-        use crate::session::Session;
-        use etherm_grid::{Axis, CellPaint, Grid3, MaterialId};
-        use etherm_materials::library;
-        use std::sync::Arc;
         // A driven block with one wire, so the run has a temperature
         // observable that is sensitive to the CG initial guess at the
         // solver-tolerance level.
-        let grid = Grid3::new(
-            Axis::uniform(0.0, 2e-3, 4).unwrap(),
-            Axis::uniform(0.0, 1e-3, 2).unwrap(),
-            Axis::uniform(0.0, 0.5e-3, 1).unwrap(),
-        );
-        let paint = CellPaint::new(&grid, MaterialId(0));
-        let mut materials = MaterialTable::new();
-        materials.add(library::epoxy_resin());
-        let mut model = ElectrothermalModel::new(grid, paint, materials).unwrap();
-        let wire =
-            etherm_bondwire::BondWire::new("w", 1.5e-3, 25.4e-6, library::copper()).unwrap();
-        model
-            .add_wire(wire, (0.0, 0.5e-3, 0.5e-3), (2e-3, 0.5e-3, 0.5e-3))
-            .unwrap();
-        let (a, b) = (model.wires()[0].node_a, model.wires()[0].node_b);
-        model.set_electric_potential(&[a], 0.02);
-        model.set_electric_potential(&[b], -0.02);
-        model.set_thermal_boundary(ThermalBoundary::convective(25.0, 300.0));
+        let model = driven_wire_block();
         // No preconditioner: the only cross-run session state that can
         // influence results is the extrapolation history this test targets
         // (a cached preconditioner legitimately persists across runs and
@@ -341,26 +302,24 @@ mod tests {
 
     #[test]
     fn rejects_bad_options() {
-        let model = cooling_block();
-        let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
+        let mut s = session(cooling_block());
         let bad = AdaptiveOptions {
             tol: -1.0,
             ..Default::default()
         };
-        assert!(sim.run_transient_adaptive(1.0, &bad).is_err());
+        assert!(s.run_transient_adaptive(1.0, &bad).is_err());
         let bad = AdaptiveOptions {
             dt_min: 1.0,
             dt_max: 0.1,
             ..Default::default()
         };
-        assert!(sim.run_transient_adaptive(1.0, &bad).is_err());
+        assert!(s.run_transient_adaptive(1.0, &bad).is_err());
     }
 
     #[test]
     fn reaches_exactly_t_end() {
-        let model = cooling_block();
-        let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
-        let sol = sim
+        let mut s = session(cooling_block());
+        let sol = s
             .run_transient_adaptive(1.0, &AdaptiveOptions::default())
             .unwrap();
         assert!((sol.times.last().unwrap() - 1.0).abs() < 1e-9);

@@ -6,7 +6,7 @@
 //! split into contiguous index chunks, so outputs are merged in sample order
 //! and the result is independent of scheduling. In the default exact
 //! mode each sample starts from a [`Session::reset`], making the outputs
-//! *bit-identical* to a fresh simulator per sample (and therefore identical
+//! *bit-identical* to a fresh session per sample (and therefore identical
 //! for any `n_threads`). Warm mode keeps sessions hot across the samples of
 //! a chunk: preconditioners are refreshed instead of rebuilt and the
 //! thermal CG solves warm-start from the previous sample's trajectory —
@@ -112,7 +112,7 @@ pub struct EnsembleOptions {
     pub n_threads: usize,
     /// Keep sessions warm across the samples of a chunk (see the module
     /// docs). Off by default: every sample is bit-identical to a fresh
-    /// simulator. Warm workers each hold two guess trajectories (see
+    /// session. Warm workers each hold two guess trajectories (see
     /// [`Session::set_warm_start`] for the memory cost — roughly
     /// `2 · steps · Picard-iterates · n_reduced` doubles per worker).
     pub warm_start: bool,

@@ -18,12 +18,13 @@
 //!
 //! * [`ElectrothermalModel`] — geometry + materials + wires + boundary
 //!   conditions,
-//! * [`Simulator`] — the one-shot facade: assembles and solves;
-//!   [`Simulator::run_transient`] produces a [`TransientSolution`],
-//!   [`Simulator::solve_stationary`] the steady state,
-//! * [`CompiledModel`] / [`Session`] — the compile-once/run-many split for
-//!   parameter campaigns: compile the invariants once, open one cheap
-//!   session per worker and re-run with new parameters,
+//! * [`CompiledModel`] / [`Session`] — the one way to run a model:
+//!   [`CompiledModel::compile`] derives the invariants once, a [`Session`]
+//!   over it solves; [`Session::run_transient`] produces a
+//!   [`TransientSolution`], [`Session::solve_stationary`] the steady state.
+//!   A one-shot run is `Session::new(CompiledModel::compile(model, options)?)`;
+//!   a parameter campaign opens one cheap session per worker and re-runs it
+//!   with new parameters,
 //! * [`ensemble`] — evaluate one compiled model for many parameter samples
 //!   across threads with deterministic sample-order merging,
 //! * [`QoiEvaluator`] / [`FullSolve`] — the batch QoI-evaluation seam the
@@ -50,7 +51,6 @@ pub mod observer;
 pub mod options;
 pub mod qoi;
 mod session;
-mod simulator;
 mod solution;
 
 pub use adaptive::AdaptiveOptions;
@@ -69,5 +69,4 @@ pub use observer::{
 };
 pub use options::{JouleScheme, PrecondKind, RecoveryPolicy, SolverOptions};
 pub use session::{RecoveryLedger, Session, SolveCounters, StationaryResult, StepResult};
-pub use simulator::Simulator;
 pub use solution::TransientSolution;

@@ -22,7 +22,8 @@ pub struct WireAttachment {
 ///
 /// Build it from a conforming grid (see `etherm_grid::GridBuilder`), a
 /// staircase material paint, a material table, lumped wires and boundary
-/// conditions; hand it to [`crate::Simulator`] to solve.
+/// conditions; compile it with [`crate::CompiledModel::compile`] and solve
+/// it on a [`crate::Session`].
 ///
 /// # Example
 ///

@@ -14,9 +14,9 @@
 //!
 //! * **exact** (default): call [`Session::reset`] between samples. Cached
 //!   preconditioners are dropped and warm-start state cleared, so every run
-//!   is *bit-identical* to a freshly constructed [`crate::Simulator`] on
-//!   the same model — the mode used by the Fig. 7 reproduction, whose
-//!   statistics must not move.
+//!   is *bit-identical* to a fresh [`Session`] on the same compiled
+//!   model — the mode used by the Fig. 7 reproduction, whose statistics
+//!   must not move.
 //! * **warm** ([`Session::set_warm_start`]): preconditioners are carried
 //!   across samples (refreshed in place by the usual lazy policy) and every
 //!   thermal CG solve is warm-started from the previous sample's solution
@@ -185,7 +185,7 @@ impl SubsystemCache {
     }
 
     /// Drops the cached preconditioner (exact-mode reset): the next solve
-    /// rebuilds from scratch, exactly like a fresh simulator. Also forgets
+    /// rebuilds from scratch, exactly like a fresh session. Also forgets
     /// any recovery downgrade of the preconditioner kind.
     fn clear(&mut self) {
         self.precond = None;
@@ -470,7 +470,12 @@ pub struct Session {
 impl Session {
     /// Creates a session over the compiled model: clones the recorded
     /// stamping templates and the nominal wires; no structural work.
-    pub fn new(compiled: Arc<CompiledModel>) -> Self {
+    ///
+    /// Takes a shared `Arc<CompiledModel>` (one compiled model, many
+    /// sessions) or an owned [`CompiledModel`] for a one-shot run:
+    /// `Session::new(CompiledModel::compile(model, options)?)`.
+    pub fn new(compiled: impl Into<Arc<CompiledModel>>) -> Self {
+        let compiled = compiled.into();
         let wires = compiled.model().wires().to_vec();
         let mass_diag = compiled.mass_diag_for(&wires);
         let elec_stamper = compiled.elec_template().cloned();
@@ -586,7 +591,7 @@ impl Session {
     }
 
     /// Resets all per-run solver state so the next run is bit-identical to
-    /// a freshly built [`crate::Simulator`] on the same model: drops the
+    /// a fresh [`Session`] on the same compiled model: drops the
     /// cached preconditioners (patterns and workspaces are kept — they do
     /// not influence results, only allocations) and clears the warm-start
     /// trajectories and step-extrapolation history. Cumulative counters and
@@ -2169,9 +2174,10 @@ fn solve_reduced(
 mod tests {
     use super::*;
     use crate::model::ElectrothermalModel;
+    use etherm_bondwire::BondWire;
     use etherm_fit::boundary::ThermalBoundary;
-    use etherm_grid::{Axis, CellPaint, Grid3, MaterialId};
-    use etherm_materials::{Material, MaterialTable, TemperatureModel};
+    use etherm_grid::{Axis, BoxRegion, CellPaint, Grid3, MaterialId};
+    use etherm_materials::{library, Material, MaterialTable, TemperatureModel};
 
     /// A copper bar 1 × 0.1 × 0.1 mm, 4×1×1 cells, driven by ±V on its ends.
     fn bar_model(v: f64) -> ElectrothermalModel {
@@ -2203,8 +2209,180 @@ mod tests {
     }
 
     fn session(v: f64) -> Session {
-        let compiled = CompiledModel::compile(bar_model(v), SolverOptions::default()).unwrap();
-        Session::new(Arc::new(compiled))
+        Session::new(CompiledModel::compile(bar_model(v), SolverOptions::default()).unwrap())
+    }
+
+    #[test]
+    fn stationary_energy_balance() {
+        // In steady state, dissipated power equals boundary outflow.
+        let mut s = session(1e-3);
+        let st = s.solve_stationary().unwrap();
+        assert!(st.converged);
+        let model = s.compiled().model();
+        let out = model
+            .thermal_boundary()
+            .outgoing_power(model.grid(), &st.temperature[..model.grid().n_nodes()]);
+        let total_in = st.field_power + st.wire_powers.iter().sum::<f64>();
+        assert!(
+            (out - total_in).abs() < 2e-2 * total_in,
+            "in {total_in} vs out {out}"
+        );
+        // The bar is warmer than ambient everywhere.
+        assert!(st.temperature.iter().all(|&t| t > 300.0 - 1e-9));
+    }
+
+    #[test]
+    fn transient_approaches_stationary() {
+        let mut s = session(1e-3);
+        let st = s.solve_stationary().unwrap();
+        let tr = s.run_transient(50.0, 50, &[]).unwrap();
+        let last = tr.times.len() - 1;
+        assert!(tr.times[last] == 50.0);
+        // Use a snapshot to compare fields (bar equilibrates in ≪ 50 s).
+        let n = s.compiled().model().grid().n_nodes();
+        let tr2 = s.run_transient(50.0, 50, &[50.0]).unwrap();
+        let (_, t_final) = &tr2.snapshots[0];
+        let diff = vector::max_abs_diff(&t_final[..n], &st.temperature[..n]);
+        assert!(diff < 0.5, "transient did not settle: {diff}");
+        // Temperatures rise monotonically toward the steady state.
+        assert!(tr.field_power[last] > 0.0);
+    }
+
+    #[test]
+    fn wire_between_blocks_heats_up() {
+        // Two copper pads in epoxy connected only by a bond wire; driving a
+        // voltage across the pads forces all current through the wire.
+        let grid = Grid3::new(
+            Axis::from_coords(vec![0.0, 0.5e-3, 1.0e-3, 1.5e-3, 2.0e-3]).unwrap(),
+            Axis::uniform(0.0, 0.5e-3, 2).unwrap(),
+            Axis::uniform(0.0, 0.25e-3, 1).unwrap(),
+        );
+        let mut paint = CellPaint::new(&grid, MaterialId(0));
+        paint.paint(
+            &grid,
+            &BoxRegion::new((0.0, 0.0, 0.0), (0.5e-3, 0.5e-3, 0.25e-3)),
+            MaterialId(1),
+        );
+        paint.paint(
+            &grid,
+            &BoxRegion::new((1.5e-3, 0.0, 0.0), (2.0e-3, 0.5e-3, 0.25e-3)),
+            MaterialId(1),
+        );
+        let mut materials = MaterialTable::new();
+        materials.add(library::epoxy_resin());
+        materials.add(library::copper());
+        let mut model = ElectrothermalModel::new(grid, paint, materials).unwrap();
+        let wire = BondWire::new("w1", 1.55e-3, 25.4e-6, library::copper()).unwrap();
+        model
+            .add_wire(wire, (0.5e-3, 0.25e-3, 0.25e-3), (1.5e-3, 0.25e-3, 0.25e-3))
+            .unwrap();
+        // PEC at outer pad ends.
+        let left: Vec<usize> = (0..model.grid().n_nodes())
+            .filter(|&n| model.grid().node_position(n).0 == 0.0)
+            .collect();
+        let right: Vec<usize> = (0..model.grid().n_nodes())
+            .filter(|&n| (model.grid().node_position(n).0 - 2.0e-3).abs() < 1e-12)
+            .collect();
+        model.set_electric_potential(&left, 0.02);
+        model.set_electric_potential(&right, -0.02);
+
+        let mut s = Session::new(CompiledModel::compile(model, SolverOptions::default()).unwrap());
+        let sol = s.run_transient(50.0, 25, &[]).unwrap();
+        let series = sol.wire_series(0);
+        // Wire heats up monotonically (until near equilibrium) and ends warm.
+        assert!(series[0] == 300.0);
+        assert!(
+            series.last().unwrap() > &320.0,
+            "wire only reached {} K",
+            series.last().unwrap()
+        );
+        // Wire power is positive and current is substantial.
+        let p_wire = sol.wire_powers[0].last().unwrap();
+        assert!(*p_wire > 0.0);
+        // Energy: wire dominates dissipation (pads are far thicker).
+        let fp = sol.field_power.last().unwrap();
+        assert!(p_wire > fp, "wire {p_wire} vs field {fp}");
+    }
+
+    #[test]
+    fn amg_reproduces_ic_physics() {
+        // The preconditioner choice may change iteration counts, never the
+        // converged temperatures.
+        let mut s_ic = session(1e-3);
+        let amg_options = SolverOptions {
+            preconditioner: PrecondKind::amg(),
+            ..SolverOptions::default()
+        };
+        let mut s_amg = Session::new(CompiledModel::compile(bar_model(1e-3), amg_options).unwrap());
+        let sol_ic = s_ic.run_transient(10.0, 10, &[10.0]).unwrap();
+        let sol_amg = s_amg.run_transient(10.0, 10, &[10.0]).unwrap();
+        let (_, t_ic) = &sol_ic.snapshots[0];
+        let (_, t_amg) = &sol_amg.snapshots[0];
+        let diff = vector::max_abs_diff(t_ic, t_amg);
+        assert!(diff < 1e-6, "AMG changed the physics by {diff} K");
+        let c = s_amg.counters();
+        assert!(c.peak_coarse_dim > 0, "AMG coarse level not recorded");
+        assert_eq!(s_ic.counters().peak_coarse_dim, 0);
+    }
+
+    #[test]
+    fn no_drive_stays_at_ambient() {
+        let grid = Grid3::new(
+            Axis::uniform(0.0, 1e-3, 2).unwrap(),
+            Axis::uniform(0.0, 1e-3, 2).unwrap(),
+            Axis::uniform(0.0, 1e-3, 2).unwrap(),
+        );
+        let paint = CellPaint::new(&grid, MaterialId(0));
+        let mut materials = MaterialTable::new();
+        materials.add(library::epoxy_resin());
+        let model = ElectrothermalModel::new(grid, paint, materials).unwrap();
+        let mut s = Session::new(CompiledModel::compile(model, SolverOptions::default()).unwrap());
+        let sol = s.run_transient(10.0, 5, &[]).unwrap();
+        // Nothing drives the system: stays at 300 K, one Picard iteration.
+        let t_end = s.initial_temperature();
+        let mut phi = vec![0.0; s.compiled().layout().n_total()];
+        let tr = s.step(&t_end, 1.0, &mut phi, 1).unwrap();
+        assert!(tr.converged);
+        assert!(tr.temperature.iter().all(|&t| (t - 300.0).abs() < 1e-9));
+        assert!(sol.field_power.iter().all(|&p| p == 0.0));
+    }
+
+    #[test]
+    fn invalid_dirichlet_rejected() {
+        let mut model = bar_model(1e-3);
+        model.set_electric_potential(&[usize::MAX], 0.0);
+        assert!(CompiledModel::compile(model, SolverOptions::default()).is_err());
+    }
+
+    #[test]
+    fn stationary_without_anchor_is_rejected() {
+        let mut model = bar_model(1e-3);
+        model.set_thermal_boundary(ThermalBoundary::adiabatic());
+        let mut s = Session::new(CompiledModel::compile(model, SolverOptions::default()).unwrap());
+        assert!(matches!(
+            s.solve_stationary(),
+            Err(CoreError::InvalidModel(_))
+        ));
+    }
+
+    #[test]
+    fn invalid_step_size_rejected() {
+        let mut s = session(1e-3);
+        let t0 = s.initial_temperature();
+        let mut phi = vec![0.0; s.compiled().layout().n_total()];
+        assert!(s.step(&t0, 0.0, &mut phi, 0).is_err());
+        assert!(s.step(&t0, f64::NAN, &mut phi, 0).is_err());
+    }
+
+    #[test]
+    fn snapshots_are_recorded_at_requested_times() {
+        let mut s = session(1e-3);
+        let sol = s.run_transient(10.0, 10, &[0.0, 5.0, 10.0]).unwrap();
+        assert_eq!(sol.snapshots.len(), 3);
+        assert_eq!(sol.snapshots[0].0, 0.0);
+        assert_eq!(sol.snapshots[1].0, 5.0);
+        assert_eq!(sol.snapshots[2].0, 10.0);
+        assert_eq!(sol.times.len(), 11);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::layout::DofLayout;
 
-/// Time histories produced by [`crate::Simulator::run_transient`].
+/// Time histories produced by [`crate::Session::run_transient`].
 ///
 /// Wire temperatures are the paper's representative values
 /// `T_bw,j = Xⱼᵀ T` (mean of the two attachment nodes, Eq. 5).

@@ -32,7 +32,8 @@ pub struct ThermalBoundary {
     /// Effective cooled-area fraction ∈ (0, 1]. Mounting fixtures, sockets
     /// and neighboring boards shade part of the surface; the paper does not
     /// publish its thermal environment, so this single scale factor is the
-    /// calibration knob of the reproduction (see DESIGN.md §4). Default 1.
+    /// calibration factor of the reproduction (see README, "Reproduction
+    /// choices"). Default 1.
     pub area_scale: f64,
 }
 

@@ -3,7 +3,8 @@
 //! Electrical and thermal conductivities at 300 K follow the paper's
 //! Table I where the material appears there (copper, epoxy resin); the
 //! remaining values are standard literature data. Volumetric heat
-//! capacities are not listed in the paper (see DESIGN.md §4): copper
+//! capacities are not listed in the paper (see README, "Reproduction
+//! choices"): copper
 //! `ρc = ρ·c_p = 8960·385 ≈ 3.45·10⁶ J/(K·m³)`, epoxy
 //! `≈ 1200·1500 = 1.8·10⁶ J/(K·m³)`.
 

@@ -30,7 +30,7 @@ pub struct BuildOptions {
     pub boundary_area_scale: f64,
     /// Override for the mold compound's volumetric heat capacity ρc
     /// (J/K/m³). `None` keeps the literature value. Used by the calibrated
-    /// Fig. 7 reproduction — see DESIGN.md §4 and EXPERIMENTS.md: the
+    /// Fig. 7 reproduction — see README, "Reproduction choices": the
     /// paper's published power (~90 mW), temperature rise (~200 K) and
     /// settling time (~15 s) are mutually consistent only with an
     /// effective package heat capacity far below literature epoxy values.
@@ -57,7 +57,8 @@ impl BuildOptions {
     /// unchanged, with the two unpublished environment parameters
     /// (`boundary_area_scale`, mold ρc) fitted to the two observable
     /// features of the paper's Fig. 7 — steady hottest-wire level ≈ 495 K
-    /// and settling by t ≈ 50 s. See EXPERIMENTS.md for the fit.
+    /// and settling by t ≈ 50 s. See README, "Reproduction choices", for
+    /// the fit.
     pub fn paper_fig7() -> Self {
         BuildOptions {
             boundary_area_scale: PAPER_FIG7_AREA_SCALE,
@@ -75,7 +76,7 @@ pub const PAPER_FIG7_MOLD_RHO_C: f64 = 4.0e4;
 /// The built model plus the bookkeeping needed by experiments.
 #[derive(Debug, Clone)]
 pub struct BuiltPackage {
-    /// The electrothermal model, ready for `etherm_core::Simulator`.
+    /// The electrothermal model, ready for [`BuiltPackage::compile`].
     pub model: ElectrothermalModel,
     /// Wire index (into `model.wires()`) per planned wire (same order as
     /// [`PackageGeometry::wire_plan`]).

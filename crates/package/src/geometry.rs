@@ -126,7 +126,7 @@ pub struct PackageGeometry {
 
 impl PackageGeometry {
     /// A baseline geometry with the paper's published pad dimensions and
-    /// plausible remaining values (see DESIGN.md §4).
+    /// plausible remaining values (see README, "Reproduction choices").
     pub fn baseline() -> Self {
         PackageGeometry {
             mold_width: 6.0e-3,

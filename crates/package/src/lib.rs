@@ -6,7 +6,7 @@
 //! 0.311 mm, 24 × length 1.01 mm + 4 × 1.261 mm, 12 copper bonding wires of
 //! diameter 25.4 µm and average length 1.55 mm, copper chip, epoxy mold).
 //! This crate rebuilds a plausible peripheral-pad layout from those numbers
-//! (see DESIGN.md §4 for the substitution argument):
+//! (see README, "Reproduction choices", for the substitution argument):
 //!
 //! * [`geometry`] — parametric package geometry; [`PackageGeometry::paper`]
 //!   auto-calibrates the chip size so the nominal wire lengths reproduce

@@ -71,8 +71,9 @@ impl PaperParameters {
         0.5 * self.wire_voltage
     }
 
-    /// The reference MC results reported in §V-D, for comparison in
-    /// EXPERIMENTS.md: `(σ_MC, error_MC, crossing time)`.
+    /// The reference MC results reported in §V-D, which the Fig. 7
+    /// environment fit is checked against (see README, "Reproduction
+    /// choices"): `(σ_MC, error_MC, crossing time)`.
     pub fn reported_results(&self) -> (f64, f64, f64) {
         (4.65, 0.147, 26.0)
     }

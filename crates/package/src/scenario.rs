@@ -5,7 +5,7 @@
 //! sample: the 12 wire lengths `L_j = d_j / (1 − δ_j)`. Applying a sample
 //! through a [`Session`] therefore touches only the 12 wire records (their
 //! stamped conductance values and segment heat capacities) — no model
-//! rebuild, no pattern re-recording, no new simulator.
+//! rebuild, no pattern re-recording, no new compiled model.
 
 use crate::builder::BuiltPackage;
 use etherm_core::{
@@ -141,7 +141,7 @@ mod tests {
     use super::*;
     use crate::builder::{build_model, BuildOptions};
     use crate::geometry::PackageGeometry;
-    use etherm_core::{run_ensemble, EnsembleOptions, Simulator};
+    use etherm_core::{run_ensemble, EnsembleOptions};
     use std::sync::Arc;
 
     fn coarse_package() -> BuiltPackage {
@@ -156,8 +156,8 @@ mod tests {
     #[test]
     fn scenario_matches_rebuild_per_sample_bitwise() {
         // The headline contract of the compile-once refactor: session reuse
-        // (exact mode) reproduces the old fresh-`Simulator`-per-sample path
-        // bit for bit across an elongation sweep.
+        // (exact mode) reproduces a fresh compiled model and session per
+        // sample bit for bit across an elongation sweep.
         let mut built = coarse_package();
         let samples: Vec<Vec<f64>> = [0.1, 0.17, 0.25, 0.12]
             .iter()
@@ -165,12 +165,12 @@ mod tests {
             .collect();
         let opts = etherm_core::SolverOptions::fast();
 
-        // Old path: mutate the model, rebuild the simulator.
+        // Reference path: mutate the model, recompile it per sample.
         let mut rebuild_outputs = Vec::new();
         for deltas in &samples {
             built.apply_elongations(deltas).unwrap();
-            let sim = Simulator::new(&built.model, opts.clone()).unwrap();
-            let sol = sim.run_transient(5.0, 5, &[]).unwrap();
+            let mut session = Session::new(built.compile(opts.clone()).unwrap());
+            let sol = session.run_transient(5.0, 5, &[]).unwrap();
             let mut out = Vec::new();
             for j in 0..sol.n_wires() {
                 out.extend_from_slice(sol.wire_series(j));

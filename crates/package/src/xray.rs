@@ -1,5 +1,5 @@
 //! Synthetic X-ray metrology of the bonding wires (substitutes the paper's
-//! Fig. 3 photographs; see DESIGN.md §4).
+//! Fig. 3 photographs; see README, "Reproduction choices").
 //!
 //! Per wire the measured length decomposes as `L = d + Δs + Δh` (paper
 //! Fig. 4): the direct distance `d` from the layout, a misplacement

@@ -7,7 +7,7 @@
 
 use etherm::bondwire::degradation::{assess_against_critical, ArrheniusDamage};
 use etherm::bondwire::{BondWire, T_CRITICAL};
-use etherm::core::{ElectrothermalModel, Simulator, SolverOptions};
+use etherm::core::{CompiledModel, ElectrothermalModel, Session, SolverOptions};
 use etherm::fit::boundary::ThermalBoundary;
 use etherm::grid::{BoxRegion, CellPaint, GridBuilder, MaterialId};
 use etherm::materials::{library, MaterialTable};
@@ -52,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("voltage  T_end    margin    crossing    damage/50s      est. lifetime");
     for scale in [0.5, 1.0, 1.5, 2.0, 2.5] {
         let model = build(v_mv * scale)?;
-        let sim = Simulator::new(&model, SolverOptions::fast())?;
-        let sol = sim.run_transient(50.0, 50, &[])?;
+        let mut session = Session::new(CompiledModel::compile(model, SolverOptions::fast())?);
+        let sol = session.run_transient(50.0, 50, &[])?;
         let series = sol.wire_series(0);
         let assessment = assess_against_critical(&sol.times, series);
         let damage_model = ArrheniusDamage::default();

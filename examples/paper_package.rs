@@ -6,7 +6,7 @@
 
 use etherm::core::export::VtkExporter;
 use etherm::core::qoi::field_slice_at_z;
-use etherm::core::{Simulator, SolverOptions};
+use etherm::core::{Session, SolverOptions};
 use etherm::package::{build_model, BuildOptions, PackageGeometry};
 use etherm::report::HeatMap;
 
@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let built = build_model(&geometry, &options)?;
     println!("mesh: {} nodes, {} wires\n", built.model.grid().n_nodes(), built.model.wires().len());
 
-    let sim = Simulator::new(&built.model, SolverOptions::fast())?;
-    let sol = sim.run_transient(50.0, 50, &[50.0])?;
+    let mut session = Session::new(built.compile(SolverOptions::fast())?);
+    let sol = session.run_transient(50.0, 50, &[50.0])?;
 
     println!("wire temperatures (T_bw = X^T T, paper Eq. 5):");
     println!("  wire   L[mm]   T(10s)   T(30s)   T(50s)   P[mW]");

@@ -17,7 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Peak steady temperature of a 25.4 µm copper wire of length `l` carrying
-/// 0.45 A between 300 K pads (the analytic baseline of DESIGN.md A8).
+/// 0.45 A between 300 K pads (the analytic fin baseline of
+/// `etherm_bondwire::analytic`).
 ///
 /// The nominal wire is built once; each evaluation only re-parameterizes
 /// its length — the same compile-once/run-many discipline as the field

@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use etherm::bondwire::BondWire;
-use etherm::core::{ElectrothermalModel, Simulator, SolverOptions};
+use etherm::core::{CompiledModel, ElectrothermalModel, Session, SolverOptions};
 use etherm::fit::boundary::ThermalBoundary;
 use etherm::grid::{BoxRegion, CellPaint, GridBuilder, MaterialId};
 use etherm::materials::{library, MaterialTable};
@@ -48,9 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     model.set_electric_potential(&right, -20e-3);
     model.set_thermal_boundary(ThermalBoundary::paper_default());
 
-    // 5. Solve 50 s of the coupled transient with implicit Euler.
-    let sim = Simulator::new(&model, SolverOptions::default())?;
-    let solution = sim.run_transient(50.0, 50, &[])?;
+    // 5. Compile the model once, then solve 50 s of the coupled transient
+    //    with implicit Euler on a session over it.
+    let mut session = Session::new(CompiledModel::compile(model, SolverOptions::default())?);
+    let solution = session.run_transient(50.0, 50, &[])?;
 
     // 6. Inspect the wire temperature (the paper's Eq. 5 quantity).
     let series = solution.wire_series(0);

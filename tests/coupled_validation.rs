@@ -1,10 +1,15 @@
 //! Cross-crate validation of the coupled solver against analytic solutions.
 
 use etherm::bondwire::BondWire;
-use etherm::core::{ElectrothermalModel, Simulator, SolverOptions};
+use etherm::core::{CompiledModel, ElectrothermalModel, Session, SolverOptions};
 use etherm::fit::boundary::ThermalBoundary;
 use etherm::grid::{Axis, BoxRegion, CellPaint, Grid3, GridBuilder, MaterialId};
 use etherm::materials::{library, Material, MaterialTable, TemperatureModel};
+
+/// A fresh session over `model` compiled with `options`.
+fn open_session(model: &ElectrothermalModel, options: SolverOptions) -> Session {
+    Session::new(CompiledModel::compile(model.clone(), options).unwrap())
+}
 
 /// A homogeneous copper block (constant properties for exact comparisons).
 fn copper_block(nx: usize) -> ElectrothermalModel {
@@ -39,8 +44,8 @@ fn block_resistance_matches_analytic() {
     model.set_electric_potential(&right, 0.0);
     model.set_thermal_boundary(ThermalBoundary::convective(100.0, 300.0));
 
-    let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
-    let st = sim.solve_stationary().unwrap();
+    let mut session = open_session(&model, SolverOptions::default());
+    let st = session.solve_stationary().unwrap();
     let r_analytic = 1e-3 / (5.8e7 * 1e-6);
     let p_expected = v * v / r_analytic;
     assert!(
@@ -59,7 +64,7 @@ fn lumped_capacity_cooling_matches_ode() {
     model.set_ambient(350.0);
     let h = 200.0;
     model.set_thermal_boundary(ThermalBoundary::convective(h, 300.0));
-    let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
+    let mut session = open_session(&model, SolverOptions::default());
 
     let volume = 1e-9; // (1 mm)³
     let area = 6e-6; // 6 faces × 1 mm²
@@ -70,7 +75,7 @@ fn lumped_capacity_cooling_matches_ode() {
     // a few percent.
     let t_end = 2.0 * tau;
     let steps = 400;
-    let sol = sim.run_transient(t_end, steps, &[t_end]).unwrap();
+    let sol = session.run_transient(t_end, steps, &[t_end]).unwrap();
     let (_, state) = &sol.snapshots[0];
     let mean: f64 =
         state[..model.grid().n_nodes()].iter().sum::<f64>() / model.grid().n_nodes() as f64;
@@ -95,8 +100,8 @@ fn implicit_euler_is_first_order_in_dt() {
     let t_end = 2.0 * tau;
     let n_grid = model.grid().n_nodes();
     let mean_at_end = |steps: usize| {
-        let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
-        let sol = sim.run_transient(t_end, steps, &[t_end]).unwrap();
+        let mut session = open_session(&model, SolverOptions::default());
+        let sol = session.run_transient(t_end, steps, &[t_end]).unwrap();
         let (_, state) = &sol.snapshots[0];
         state[..n_grid].iter().sum::<f64>() / n_grid as f64
     };
@@ -112,6 +117,49 @@ fn implicit_euler_is_first_order_in_dt() {
             25 << i
         );
     }
+}
+
+#[test]
+fn fit_is_second_order_in_h() {
+    // A copper bar with 300 K ends and adiabatic sides, started at
+    // 300 + A·sin(πx/L). The sine decays at the continuous rate α(π/L)²;
+    // on the grid it is an exact eigenvector with rate λ_h. One
+    // implicit-Euler step scales it by 1/(1 + Δt·λ_h), which recovers λ_h
+    // free of any time error, so |λ_h − α(π/L)²| measures the spatial error
+    // alone. (A quadratic profile would not do: the grid reproduces it
+    // exactly.) Halving h must cut that error fourfold.
+    use std::f64::consts::PI;
+    let (l, amp, dt) = (1e-3, 10.0, 1e-3);
+    let exact = 398.0 / 3.45e6 * (PI / l).powi(2);
+    let rate_error = |nx: usize| {
+        let mut model = copper_block(nx);
+        let grid = model.grid();
+        let ends: Vec<usize> = (0..grid.n_nodes())
+            .filter(|&n| {
+                let x = grid.node_position(n).0;
+                x == 0.0 || (x - l).abs() < 1e-12
+            })
+            .collect();
+        let mode: Vec<f64> = (0..grid.n_nodes())
+            .map(|n| (PI * grid.node_position(n).0 / l).sin())
+            .collect();
+        model.set_fixed_temperature(&ends, 300.0);
+        model.set_thermal_boundary(ThermalBoundary::adiabatic());
+        let mut session = open_session(&model, SolverOptions::default());
+        let t0: Vec<f64> = mode.iter().map(|s| 300.0 + amp * s).collect();
+        let mut phi = vec![0.0; t0.len()];
+        let t1 = session.step(&t0, dt, &mut phi, 1).unwrap().temperature;
+        // Project the decayed excess on the mode: g = 1/(1 + Δt·λ_h).
+        let excess: f64 = mode.iter().zip(&t1).map(|(s, t)| s * (t - 300.0)).sum();
+        let g = excess / (amp * mode.iter().map(|s| s * s).sum::<f64>());
+        ((1.0 / g - 1.0) / dt - exact).abs()
+    };
+    let (e_h, e_h2) = (rate_error(8), rate_error(16));
+    let order = (e_h / e_h2).log2();
+    assert!(
+        (1.8..=2.2).contains(&order),
+        "observed order {order} (rate errors {e_h:e} and {e_h2:e} 1/s)"
+    );
 }
 
 #[test]
@@ -151,12 +199,12 @@ fn stationary_equals_long_transient_with_wire() {
         picard_max_iter: 120,
         ..SolverOptions::default()
     };
-    let sim = Simulator::new(&model, options).unwrap();
-    let st = sim.solve_stationary().unwrap();
+    let mut session = open_session(&model, options);
+    let st = session.solve_stationary().unwrap();
     assert!(st.converged, "picard iterations: {}", st.picard_iterations);
-    let tr = sim.run_transient(200.0, 100, &[]).unwrap();
+    let tr = session.run_transient(200.0, 100, &[]).unwrap();
     let t_wire_stationary =
-        sim.layout().topology(0).average_temperature(&st.temperature);
+        session.compiled().layout().topology(0).average_temperature(&st.temperature);
     let t_wire_end = *tr.wire_series(0).last().unwrap();
     assert!(
         (t_wire_end - t_wire_stationary).abs() < 0.05 * (t_wire_stationary - 300.0).abs().max(0.1),
@@ -208,8 +256,8 @@ fn multi_segment_wire_agrees_with_single_segment_on_qoi() {
             .nodes_in_box((1.6e-3, 0.0, 0.0), (1.6e-3, 0.4e-3, 0.2e-3));
         model.set_electric_potential(&left, 20e-3);
         model.set_electric_potential(&right, -20e-3);
-        let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
-        let sol = sim.run_transient(30.0, 30, &[]).unwrap();
+        let mut session = open_session(&model, SolverOptions::default());
+        let sol = session.run_transient(30.0, 30, &[]).unwrap();
         *sol.wire_series(0).last().unwrap()
     };
     let t1 = run(1);

@@ -2,7 +2,7 @@
 //! package → synthetic X-ray → distribution fit → Monte Carlo → Fig. 7
 //! statistics.
 
-use etherm::core::{Simulator, SolverOptions};
+use etherm::core::{Scenario, Session, SolverOptions};
 use etherm::package::{
     build_model, paper_elongation_distribution, BuildOptions, PackageGeometry, XrayMetrology,
 };
@@ -32,8 +32,8 @@ fn xray_to_fit_pipeline() {
 fn nominal_paper_transient_reaches_plausible_temperatures() {
     let geometry = PackageGeometry::paper();
     let built = build_model(&geometry, &coarse_options()).unwrap();
-    let sim = Simulator::new(&built.model, SolverOptions::fast()).unwrap();
-    let sol = sim.run_transient(50.0, 25, &[]).unwrap();
+    let mut session = Session::new(built.compile(SolverOptions::fast()).unwrap());
+    let sol = session.run_transient(50.0, 25, &[]).unwrap();
     let series = sol.max_wire_series();
     // Starts at ambient, rises monotonically (to solver tolerance), ends in
     // the paper's regime (well above 400 K, below the runaway range).
@@ -57,10 +57,13 @@ fn nominal_paper_transient_reaches_plausible_temperatures() {
 #[test]
 fn mini_monte_carlo_statistics_are_sane() {
     let geometry = PackageGeometry::paper();
-    let mut built = build_model(&geometry, &coarse_options()).unwrap();
+    let built = build_model(&geometry, &coarse_options()).unwrap();
     let delta = paper_elongation_distribution();
     let dists: Vec<&dyn Distribution> = (0..12).map(|_| &delta as &dyn Distribution).collect();
     let steps = 10;
+    // Compile once; reset + apply per sample is bit-identical to a rebuild.
+    let mut session = Session::new(built.compile(SolverOptions::fast()).unwrap());
+    let scenario = built.elongation_scenario(50.0, steps, |sol| vec![sol.max_wire_series()[steps]]);
     let mut gen = MonteCarloSampler::new(5);
     let result = run_monte_carlo(
         &mut gen,
@@ -68,10 +71,11 @@ fn mini_monte_carlo_statistics_are_sane() {
         8,
         McOptions::default(),
         |_, deltas| -> Result<Vec<f64>, String> {
-            built.apply_elongations(deltas).map_err(|e| e.to_string())?;
-            let sim = Simulator::new(&built.model, SolverOptions::fast()).map_err(|e| e.to_string())?;
-            let sol = sim.run_transient(50.0, steps, &[]).map_err(|e| e.to_string())?;
-            Ok(vec![sol.max_wire_series()[steps]])
+            session.reset();
+            scenario
+                .apply(&mut session, deltas)
+                .and_then(|()| scenario.evaluate(&mut session))
+                .map_err(|e| e.to_string())
         },
     )
     .unwrap();
@@ -94,13 +98,13 @@ fn elongation_increases_resistance_decreases_power() {
     let mut built = build_model(&geometry, &coarse_options()).unwrap();
 
     built.apply_elongations(&[0.05; 12]).unwrap();
-    let sim = Simulator::new(&built.model, SolverOptions::fast()).unwrap();
-    let sol_short = sim.run_transient(10.0, 5, &[]).unwrap();
+    let mut session = Session::new(built.compile(SolverOptions::fast()).unwrap());
+    let sol_short = session.run_transient(10.0, 5, &[]).unwrap();
     let p_short: f64 = sol_short.wire_powers.iter().map(|w| *w.last().unwrap()).sum();
 
     built.apply_elongations(&[0.30; 12]).unwrap();
-    let sim = Simulator::new(&built.model, SolverOptions::fast()).unwrap();
-    let sol_long = sim.run_transient(10.0, 5, &[]).unwrap();
+    let mut session = Session::new(built.compile(SolverOptions::fast()).unwrap());
+    let sol_long = session.run_transient(10.0, 5, &[]).unwrap();
     let p_long: f64 = sol_long.wire_powers.iter().map(|w| *w.last().unwrap()).sum();
 
     assert!(

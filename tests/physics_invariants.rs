@@ -3,9 +3,14 @@
 //! Dirichlet pins hold exactly, and more drive means more heat.
 
 use etherm::bondwire::BondWire;
-use etherm::core::{ElectrothermalModel, Simulator, SolverOptions};
+use etherm::core::{CompiledModel, ElectrothermalModel, Session, SolverOptions};
 use etherm::grid::{Axis, CellPaint, Grid3, MaterialId};
 use etherm::materials::{library, MaterialTable};
+
+/// A fresh session over `model` compiled with `options`.
+fn open_session(model: &ElectrothermalModel, options: SolverOptions) -> Session {
+    Session::new(CompiledModel::compile(model.clone(), options).unwrap())
+}
 
 /// A small epoxy block with two copper end blocks and one wire between
 /// their inner top edges, `±v` PEC drive at the outer faces.
@@ -42,8 +47,8 @@ fn two_pad_model(v: f64) -> ElectrothermalModel {
 #[test]
 fn zero_drive_stays_at_ambient() {
     let model = two_pad_model(0.0);
-    let sim = Simulator::new(&model, SolverOptions::default()).expect("simulator");
-    let sol = sim.run_transient(10.0, 10, &[]).expect("transient");
+    let mut session = open_session(&model, SolverOptions::default());
+    let sol = session.run_transient(10.0, 10, &[]).expect("transient");
     for j in 0..sol.n_wires() {
         for &t in sol.wire_series(j) {
             assert!(
@@ -60,12 +65,10 @@ fn drive_polarity_does_not_matter() {
     // must produce the identical temperature series.
     let pos = two_pad_model(20e-3);
     let neg = two_pad_model(-20e-3);
-    let sol_p = Simulator::new(&pos, SolverOptions::default())
-        .unwrap()
+    let sol_p = open_session(&pos, SolverOptions::default())
         .run_transient(10.0, 10, &[])
         .unwrap();
-    let sol_n = Simulator::new(&neg, SolverOptions::default())
-        .unwrap()
+    let sol_n = open_session(&neg, SolverOptions::default())
         .run_transient(10.0, 10, &[])
         .unwrap();
     for i in 0..sol_p.n_times() {
@@ -81,8 +84,8 @@ fn more_drive_means_monotonically_more_heat() {
         .iter()
         .map(|&v| {
             let model = two_pad_model(v);
-            let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
-            let sol = sim.run_transient(10.0, 10, &[]).unwrap();
+            let mut session = open_session(&model, SolverOptions::default());
+            let sol = session.run_transient(10.0, 10, &[]).unwrap();
             *sol.wire_series(0).last().unwrap()
         })
         .collect();
@@ -106,8 +109,8 @@ fn mirror_symmetry_of_the_two_pads() {
     // The model is symmetric under x → 2 mm − x (pads, drive magnitude,
     // wire midpoint). The temperature field must share that symmetry.
     let model = two_pad_model(20e-3);
-    let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
-    let sol = sim.run_transient(10.0, 10, &[10.0]).unwrap();
+    let mut session = open_session(&model, SolverOptions::default());
+    let sol = session.run_transient(10.0, 10, &[10.0]).unwrap();
     let (_, field) = &sol.snapshots[0];
     let grid = model.grid();
     let lx = 2.0e-3;
@@ -134,8 +137,8 @@ fn fixed_temperature_nodes_hold_exactly() {
         .grid()
         .nodes_in_box((0.0, 0.0, 0.0), (0.0, 0.5e-3, 0.25e-3));
     model.set_fixed_temperature(&sink, 310.0);
-    let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
-    let sol = sim.run_transient(5.0, 5, &[5.0]).unwrap();
+    let mut session = open_session(&model, SolverOptions::default());
+    let sol = session.run_transient(5.0, 5, &[5.0]).unwrap();
     let (_, field) = &sol.snapshots[0];
     for &n in &sink {
         assert_eq!(field[n], 310.0, "Dirichlet node {n} drifted");
@@ -151,17 +154,18 @@ fn stationary_limit_matches_long_transient() {
         picard_max_iter: 400,
         ..SolverOptions::default()
     };
-    let sim = Simulator::new(&model, options).unwrap();
-    let stationary = sim.solve_stationary().expect("stationary solve");
+    let mut session = open_session(&model, options);
+    let stationary = session.solve_stationary().expect("stationary solve");
     assert!(
         stationary.converged,
         "stationary Picard stalled after {} iterations",
         stationary.picard_iterations
     );
     // March far past the settling time of this tiny block.
-    let sol = sim.run_transient(2000.0, 200, &[]).expect("transient");
+    let sol = session.run_transient(2000.0, 200, &[]).expect("transient");
     let t_end = *sol.wire_series(0).last().unwrap();
-    let t_stat = sim
+    let t_stat = session
+        .compiled()
         .layout()
         .topology(0)
         .average_temperature(&stationary.temperature);
@@ -174,9 +178,9 @@ fn stationary_limit_matches_long_transient() {
 #[test]
 fn adaptive_matches_fixed_step() {
     let model = two_pad_model(20e-3);
-    let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
-    let fixed = sim.run_transient(10.0, 100, &[]).unwrap();
-    let adaptive = sim
+    let mut session = open_session(&model, SolverOptions::default());
+    let fixed = session.run_transient(10.0, 100, &[]).unwrap();
+    let adaptive = session
         .run_transient_adaptive(10.0, &etherm::core::AdaptiveOptions::default())
         .unwrap();
     let t_fixed = *fixed.wire_series(0).last().unwrap();

@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests.
 
 use etherm::bondwire::BondWire;
-use etherm::core::{ElectrothermalModel, Simulator, SolverOptions};
+use etherm::core::{CompiledModel, ElectrothermalModel, Session, SolverOptions};
 use etherm::fit::boundary::ThermalBoundary;
 use etherm::grid::{Axis, CellPaint, Grid3, MaterialId};
 use etherm::materials::{library, Material, MaterialTable, TemperatureModel};
@@ -42,8 +42,8 @@ proptest! {
         model.set_electric_potential(&left, v);
         model.set_electric_potential(&right, 0.0);
         model.set_thermal_boundary(ThermalBoundary::convective(1000.0, 300.0));
-        let sim = Simulator::new(&model, SolverOptions::default()).unwrap();
-        let st = sim.solve_stationary().unwrap();
+        let compiled = CompiledModel::compile(model, SolverOptions::default()).unwrap();
+        let st = Session::new(compiled).solve_stationary().unwrap();
         let expect = v * v * sigma * 0.25e-6 / 1e-3;
         prop_assert!(
             (st.field_power - expect).abs() < 1e-6 * expect,

@@ -6,7 +6,7 @@
 //! (grid → materials → FIT assembly → bondwire stamping → coupled solve):
 //! it uses a coarse mesh and a single step so it stays fast in every profile.
 
-use etherm::core::{Simulator, SolverOptions};
+use etherm::core::{Session, SolverOptions};
 use etherm::package::paper::PaperParameters;
 use etherm::package::{build_model, BuildOptions, PackageGeometry};
 
@@ -20,9 +20,9 @@ fn paper_package_one_implicit_euler_step() {
     let built = build_model(&geometry, &options).expect("paper package builds");
     assert_eq!(built.model.wires().len(), 12, "paper package has 12 wires");
 
-    let sim = Simulator::new(&built.model, SolverOptions::fast()).expect("simulator");
+    let mut session = Session::new(built.compile(SolverOptions::fast()).expect("compile"));
     // One implicit-Euler step of Δt = 1 s.
-    let sol = sim.run_transient(1.0, 1, &[]).expect("one step converges");
+    let sol = session.run_transient(1.0, 1, &[]).expect("one step converges");
 
     let ambient = PaperParameters::default().ambient;
     let (hottest, t_end) = sol.hottest_wire().expect("wire QoIs present");
