@@ -30,13 +30,13 @@ use etherm_bench::{arg_f64, arg_flag, arg_usize, arg_value};
 use etherm_bondwire::analytic::{
     allowable_current, onderdonk_fusing_current, preece_fusing_current,
 };
-use etherm_core::{run_ensemble, EnsembleOptions, Session, SolverOptions};
+use etherm_core::{run_ensemble, EnsembleOptions, FullSolve, QoiEvaluator, Session, SolverOptions};
 use etherm_package::{
     build_model, paper_elongation_distribution, BuildOptions, FailureScenario, PackageGeometry,
 };
 use etherm_reliability::{
-    find_critical_load, EnsembleLimitState, FailureEstimate, FailureEstimator,
-    FusingSearchOptions, SubsetSimulation,
+    find_critical_load, FailureEstimate, FailureEstimator, FusingSearchOptions, QoiLimitState,
+    SubsetSimulation,
 };
 use etherm_uq::{draw_samples, Distribution, MonteCarloSampler};
 use std::sync::Arc;
@@ -183,21 +183,20 @@ fn main() {
         ..SubsetSimulation::new(n_level, seed.wrapping_add(1))
     };
     let run_subset = |n_threads: usize| -> (FailureEstimate, usize, f64) {
-        let mut state = EnsembleLimitState::new(
-            &compiled,
-            &scenario,
+        let options = EnsembleOptions {
+            n_threads,
+            ..EnsembleOptions::default()
+        };
+        let mut state = QoiLimitState::new(
+            FullSolve::new(&compiled, &scenario, scenario.n_wires(), options),
             marginals(),
             threshold,
-            EnsembleOptions {
-                n_threads,
-                ..EnsembleOptions::default()
-            },
         );
         let start = Instant::now();
         let estimate = subset.estimate(&mut state).expect("subset simulation");
         (
             estimate,
-            state.counters().thermal_solves,
+            state.evaluator().counters().thermal_solves,
             start.elapsed().as_secs_f64(),
         )
     };

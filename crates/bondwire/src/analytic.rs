@@ -70,16 +70,6 @@ impl FinModel {
         &self.wire
     }
 
-    /// Sets the property evaluation temperature.
-    pub fn set_eval_temperature(&mut self, t: f64) {
-        self.eval_temp = t;
-    }
-
-    /// Sets the driven current (A).
-    pub fn set_current(&mut self, i: f64) {
-        self.current = i;
-    }
-
     /// Volumetric Joule heating `q̇ = (I/A)²/σ(T_eval)` (W/m³).
     pub fn volumetric_heating(&self) -> f64 {
         let a = self.wire.cross_section();

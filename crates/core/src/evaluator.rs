@@ -5,12 +5,14 @@
 //!
 //! * [`QoiEvaluator`] — the trait: batch evaluation plus bookkeeping of how
 //!   many samples paid for a full solve vs. were served cheaply,
-//! * [`FullSolve`] — today's path: every sample fans out over
+//! * [`FullSolve`] — the reference path: every sample fans out over
 //!   [`run_ensemble`] worker sessions.
 //!
-//! The surrogate-serving implementation (`SurrogateWithFallback`) lives in
-//! `etherm_reliability`, next to the training pipeline and the estimators
-//! that consume it.
+//! `FullSolve` is also how the rare-event estimators reach the engine:
+//! `etherm_reliability::QoiLimitState` over a `FullSolve` is their one
+//! engine-backed limit state. The surrogate-serving implementation
+//! (`SurrogateWithFallback`) lives in `etherm_reliability` too, next to the
+//! training pipeline and the estimators that consume it.
 
 use crate::compiled::CompiledModel;
 use crate::ensemble::{run_ensemble, EnsembleOptions, Scenario};

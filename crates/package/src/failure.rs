@@ -10,7 +10,11 @@
 //!
 //! A sample binds the 12 relative elongations `δⱼ` and, optionally, a
 //! drive (current) scale as a trailing 13th entry — the load parameter of
-//! the fusing-current search.
+//! the fusing-current search; without it the paper drive runs unscaled.
+//!
+//! The rare-event estimators of `etherm_reliability` evaluate it through
+//! `QoiLimitState` over an `etherm_core::FullSolve`, which reads
+//! [`FailureScenario::QOI_PEAK`] as the limit-state response.
 
 use crate::builder::{elongation_length, BuiltPackage};
 use etherm_core::{CoreError, Scenario, Session, ThresholdObserver};
@@ -23,6 +27,9 @@ use etherm_core::{CoreError, Scenario, Session, ThresholdObserver};
 /// | [`FailureScenario::QOI_PEAK`] | response `Y = max_t maxⱼ T_bw,j` (K); for an early-exited run the peak up to the crossing step, which is ≥ the threshold — exactly the information the indicator `Y ≥ b` needs for any `b ≤` threshold |
 /// | [`FailureScenario::QOI_CROSSING`] | bisected first-crossing time (s), `NaN` when the run never crossed |
 /// | [`FailureScenario::QOI_SOLVES`] | implicit-Euler solves spent (accepted steps + bisection sub-steps) |
+///
+/// The crossing is refined with [`ThresholdObserver::new`]'s default 4
+/// bisection sub-steps.
 #[derive(Debug, Clone)]
 pub struct FailureScenario {
     wire_indices: Vec<usize>,
@@ -30,8 +37,6 @@ pub struct FailureScenario {
     t_end: f64,
     n_steps: usize,
     threshold: f64,
-    current_scale: f64,
-    bisections: usize,
 }
 
 impl BuiltPackage {
@@ -46,8 +51,6 @@ impl BuiltPackage {
             t_end,
             n_steps,
             threshold,
-            current_scale: 1.0,
-            bisections: 4,
         }
     }
 }
@@ -60,39 +63,9 @@ impl FailureScenario {
     /// QoI index of the solve count (accepted + bisection sub-steps).
     pub const QOI_SOLVES: usize = 2;
 
-    /// Fixes a base drive (current) scale applied to every sample; a
-    /// trailing sample entry multiplies on top of this. Default 1.0.
-    pub fn with_current_scale(mut self, scale: f64) -> Self {
-        self.current_scale = scale;
-        self
-    }
-
-    /// Overrides the number of crossing-bisection sub-steps (default 4).
-    pub fn with_bisections(mut self, bisections: usize) -> Self {
-        self.bisections = bisections;
-        self
-    }
-
-    /// Lowers the early-exit threshold to `exit` (K): the transient stops at
-    /// the earlier of `exit` and the failure threshold, reporting its
-    /// peak-so-far. This is the intermediate-threshold hook of
-    /// `SubsetSimulation::intermediate_exit` — the reported peak is exact
-    /// below the exit and a lower bound `≥ exit` once it crossed, exactly
-    /// the `LimitState::evaluate_truncated` contract of
-    /// `etherm_reliability`.
-    pub fn with_exit_threshold(mut self, exit: f64) -> Self {
-        self.threshold = self.threshold.min(exit);
-        self
-    }
-
     /// The failure threshold (K).
     pub fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    /// The base drive scale.
-    pub fn current_scale(&self) -> f64 {
-        self.current_scale
     }
 
     /// Number of wires (= elongation entries per sample).
@@ -113,13 +86,11 @@ impl Scenario for FailureScenario {
             let length = elongation_length(self.direct_distances[j], delta)?;
             session.set_wire_length(self.wire_indices[j], length)?;
         }
-        let scale = self.current_scale * sample.get(n).copied().unwrap_or(1.0);
-        session.set_drive_scale(scale)
+        session.set_drive_scale(sample.get(n).copied().unwrap_or(1.0))
     }
 
     fn evaluate(&self, session: &mut Session) -> Result<Vec<f64>, CoreError> {
-        let mut observer =
-            ThresholdObserver::new(self.threshold).with_bisections(self.bisections);
+        let mut observer = ThresholdObserver::new(self.threshold);
         let observed =
             session.run_transient_observed(self.t_end, self.n_steps, &[], &mut observer)?;
         Ok(vec![
@@ -199,41 +170,7 @@ mod tests {
         let y1 = r.outputs[1][FailureScenario::QOI_PEAK];
         assert!(y1 > y0 + 1.0, "drive scale had no effect: {y0} vs {y1}");
         assert_eq!(scenario.n_wires(), 12);
-        assert_eq!(scenario.current_scale(), 1.0);
         assert_eq!(scenario.threshold(), 1e6);
-    }
-
-    #[test]
-    fn exit_threshold_truncates_honestly() {
-        let built = coarse_package();
-        let compiled = Arc::new(built.compile(SolverOptions::fast()).unwrap());
-        let samples = vec![vec![0.17; 12]];
-        // Full run (threshold far away): the exact peak.
-        let full = built.failure_scenario(20.0, 20, 1e6);
-        let r = run_ensemble(&compiled, &full, &samples, &EnsembleOptions::default()).unwrap();
-        let exact_peak = r.outputs[0][FailureScenario::QOI_PEAK];
-        let full_solves = r.outputs[0][FailureScenario::QOI_SOLVES];
-
-        // Intermediate exit crossed during the heating ramp: the report is a
-        // lower bound in [exit, exact] and the run stops early.
-        let exit = 340.0;
-        assert!(exact_peak > exit);
-        let truncated = built.failure_scenario(20.0, 20, 1e6).with_exit_threshold(exit);
-        assert_eq!(truncated.threshold(), exit);
-        let r =
-            run_ensemble(&compiled, &truncated, &samples, &EnsembleOptions::default()).unwrap();
-        let y = r.outputs[0][FailureScenario::QOI_PEAK];
-        assert!(y >= exit && y <= exact_peak, "{exit} ≤ {y} ≤ {exact_peak}");
-        assert!(r.outputs[0][FailureScenario::QOI_SOLVES] < full_solves);
-
-        // Exit above the peak: no truncation, bit-identical response.
-        let untouched = built.failure_scenario(20.0, 20, 1e6).with_exit_threshold(exact_peak + 50.0);
-        let r =
-            run_ensemble(&compiled, &untouched, &samples, &EnsembleOptions::default()).unwrap();
-        assert_eq!(
-            r.outputs[0][FailureScenario::QOI_PEAK].to_bits(),
-            exact_peak.to_bits()
-        );
     }
 
     #[test]

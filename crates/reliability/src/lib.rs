@@ -18,33 +18,30 @@
 //!   worker count,
 //! * [`MonteCarloEstimator`] / [`ImportanceSamplingEstimator`] — the
 //!   direct-sampling baselines behind the same trait,
-//! * [`EnsembleLimitState`] — the simulator binding: batches fan out over
-//!   `etherm_core::run_ensemble` worker sessions whose transients
-//!   early-exit the moment the limit state is decided
-//!   (`Session::run_transient_observed` + `ThresholdObserver`),
 //! * [`find_critical_load`] — fusing-current search: bisection on the
 //!   session drive scale for the largest load the package survives,
 //!   cross-checkable against the Preece/Onderdonk rules in
 //!   `etherm_bondwire::analytic`; [`find_critical_load_sampled`] sweeps it
 //!   over a `Distribution`-valued degradation threshold for the fusing
 //!   current as a random variable,
-//! * [`train_surrogates`] / [`SurrogateWithFallback`] / [`QoiLimitState`]
-//!   — the error-controlled surrogate fast path: per-QoI PCE surrogates
-//!   fitted through the batched ensemble engine serve microsecond answers
-//!   whenever their cross-validated error estimate is within tolerance,
+//! * [`QoiLimitState`] — the one binding of an estimator to the engine:
+//!   standard-normal points go through the marginals into any
+//!   `etherm_core::QoiEvaluator`, QoI 0 is the response. Over
+//!   `etherm_core::FullSolve` every batch fans out over `run_ensemble`
+//!   worker sessions; under `etherm_package::FailureScenario` each
+//!   transient early-exits the moment the limit state is decided
+//!   (`Session::run_transient_observed` + `ThresholdObserver`),
+//! * [`train_surrogates`] / [`SurrogateWithFallback`] — the
+//!   error-controlled surrogate fast path: per-QoI PCE surrogates fitted
+//!   through the batched ensemble engine serve microsecond answers
+//!   whenever their cross-validated error estimate is within tolerance and
 //!   fall back to full transients otherwise (logging the points for
-//!   active-learning refinement), and plug into any estimator through the
-//!   [`LimitState`] adapter — full solves are reserved for near-threshold
-//!   samples,
-//! * [`LimitState::evaluate_truncated`] + `SubsetSimulation::intermediate_exit`
-//!   — intermediate-threshold early exit: conditional-level transients may
-//!   stop at a predicted next threshold, with ambiguous responses re-run
-//!   exactly, so the ladder is unchanged bit-for-bit at a fraction of the
-//!   step count.
+//!   active-learning refinement); behind [`QoiLimitState`] they screen any
+//!   estimator's candidates, so full solves are reserved for
+//!   near-threshold samples.
 
 #![forbid(unsafe_code)]
 
-mod ensemble_state;
 mod error;
 mod fusing;
 mod limit_state;
@@ -52,7 +49,6 @@ mod montecarlo;
 mod subset;
 mod surrogate;
 
-pub use ensemble_state::EnsembleLimitState;
 pub use error::ReliabilityError;
 pub use fusing::{
     find_critical_load, find_critical_load_sampled, CriticalLoad, FusingSearchOptions,

@@ -8,10 +8,10 @@
 //! points; **failure is `Y ≥ threshold`**, matching the degradation
 //! criterion `max_t maxⱼ T_bw,j ≥ T_critical`.
 //!
-//! The batch interface is what lets the simulator-backed implementation
-//! ([`crate::EnsembleLimitState`]) fan each batch out over worker sessions
-//! while keeping results in sample order — estimators stay deterministic
-//! for any worker count.
+//! The batch interface is what lets the engine-backed implementation
+//! ([`crate::QoiLimitState`] over `etherm_core::FullSolve`) fan each batch
+//! out over worker sessions while keeping results in sample order —
+//! estimators stay deterministic for any worker count.
 
 use crate::error::ReliabilityError;
 use etherm_uq::special::normal_quantile;
@@ -36,30 +36,6 @@ pub trait LimitState {
     ///
     /// Implementation-defined (solver failures, invalid parameters).
     fn evaluate(&mut self, points: &[Vec<f64>]) -> Result<Vec<f64>, ReliabilityError>;
-
-    /// Evaluates responses that may be **truncated at `exit`**: the
-    /// implementation may stop an evaluation as soon as its response is
-    /// known to reach `exit`, reporting any value `ỹ` with
-    /// `exit ≤ ỹ ≤ y` for a true response `y ≥ exit`; responses below
-    /// `exit` must be exact. Consumers that only compare against bounds
-    /// `b ≤ exit` therefore get exact indicators for truncated responses,
-    /// and must re-evaluate (via [`LimitState::evaluate`]) before comparing
-    /// a truncated response against anything larger.
-    ///
-    /// The default forwards to [`LimitState::evaluate`] — no truncation,
-    /// always sound.
-    ///
-    /// # Errors
-    ///
-    /// As for [`LimitState::evaluate`].
-    fn evaluate_truncated(
-        &mut self,
-        points: &[Vec<f64>],
-        exit: f64,
-    ) -> Result<Vec<f64>, ReliabilityError> {
-        let _ = exit;
-        self.evaluate(points)
-    }
 }
 
 /// Per-level diagnostics of an estimate. Plain Monte Carlo and importance

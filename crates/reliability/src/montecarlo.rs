@@ -213,23 +213,6 @@ pub(crate) fn checked_evaluate(
     Ok(ys)
 }
 
-/// [`checked_evaluate`] through the truncated (intermediate-exit) path.
-pub(crate) fn checked_evaluate_truncated(
-    limit_state: &mut dyn LimitState,
-    points: &[Vec<f64>],
-    exit: f64,
-) -> Result<Vec<f64>, ReliabilityError> {
-    let ys = limit_state.evaluate_truncated(points, exit)?;
-    if ys.len() != points.len() {
-        return Err(ReliabilityError::Evaluation(format!(
-            "limit state returned {} truncated responses for {} points",
-            ys.len(),
-            points.len()
-        )));
-    }
-    Ok(ys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,7 +25,7 @@ use crate::error::ReliabilityError;
 use crate::limit_state::{
     substream, FailureEstimate, FailureEstimator, LevelStats, LimitState, StdNormal,
 };
-use crate::montecarlo::{checked_evaluate, checked_evaluate_truncated};
+use crate::montecarlo::checked_evaluate;
 
 /// Subset-simulation estimator.
 #[derive(Debug, Clone)]
@@ -45,17 +45,6 @@ pub struct SubsetSimulation {
     /// Level budget: the event must be reachable within `p0^max_levels`
     /// (default 12 ⇒ probabilities down to ~6e-8 at p0 = 0.25).
     pub max_levels: usize,
-    /// Intermediate-threshold early exit (default off). When on, the
-    /// candidates of a conditional level at threshold `b` are evaluated
-    /// through [`LimitState::evaluate_truncated`] with an exit predictor
-    /// `e = min(threshold, b + 3·(b − b_prev))`: a transient whose response
-    /// already crossed `e` stops there instead of running to completion.
-    /// Truncated responses are exact for every comparison up to `e`
-    /// (`e ≥ b`, so chain acceptance is unaffected); before each ladder
-    /// decision, stored responses whose truncation cap cannot decide the
-    /// comparison are re-evaluated in full, so the estimator remains
-    /// unbiased and bit-deterministic — only the solve cost changes.
-    pub intermediate_exit: bool,
 }
 
 impl SubsetSimulation {
@@ -67,7 +56,6 @@ impl SubsetSimulation {
             seed,
             proposal_correlation: 0.8,
             max_levels: 12,
-            intermediate_exit: false,
         }
     }
 
@@ -102,14 +90,10 @@ impl SubsetSimulation {
 }
 
 /// One Markov chain's states at a conditional level, in transition order
-/// (first entry = seed). `caps[i]` is the truncation cap of state `i`:
-/// `∞` for an exact response, the exit threshold `e` for a response
-/// reported by a truncated evaluation (then `ys[i] ≥ e` and the true
-/// response is `≥ ys[i]`).
+/// (first entry = seed).
 struct Chain {
     points: Vec<Vec<f64>>,
     ys: Vec<f64>,
-    caps: Vec<f64>,
 }
 
 /// NaN-safe descending order on responses (NaN sorts last), ties broken by
@@ -199,68 +183,17 @@ impl FailureEstimator for SubsetSimulation {
             .map(|(p, y)| Chain {
                 points: vec![p],
                 ys: vec![y],
-                caps: vec![f64::INFINITY],
             })
             .collect();
 
         let mut probability = 1.0;
         let mut cov_sq = 0.0;
         let mut levels = Vec::new();
-        let mut prev_b: Option<f64> = None;
 
         for level in 0..=self.max_levels {
-            // Fix-up pass (intermediate-exit runs only; a no-op otherwise):
-            // a truncated response is exact for comparisons up to its cap,
-            // but cannot decide this level's ladder if it ranks below the
-            // decision bound — re-evaluate those states in full until the
-            // ladder decision is exact. Every pass converts at least one
-            // state to exact, so the loop terminates.
-            let (flat_ys, order, b_candidate) = loop {
-                let flat_ys: Vec<f64> =
-                    chains.iter().flat_map(|c| c.ys.iter().copied()).collect();
-                let order = order_desc(&flat_ys);
-                let b_candidate = flat_ys[order[nc - 1]];
-                let bound = b_candidate.min(threshold);
-                // Rejected chain transitions repeat their state, so only
-                // re-evaluate the first of each run of equal points and
-                // propagate the exact value forward afterwards.
-                let mut ambiguous: Vec<(usize, usize)> = Vec::new();
-                for (ci, chain) in chains.iter().enumerate() {
-                    for (pi, (&y, &cap)) in chain.ys.iter().zip(&chain.caps).enumerate() {
-                        if cap.is_finite()
-                            && y < bound
-                            && (pi == 0 || chain.points[pi] != chain.points[pi - 1])
-                        {
-                            ambiguous.push((ci, pi));
-                        }
-                    }
-                }
-                if ambiguous.is_empty() {
-                    break (flat_ys, order, b_candidate);
-                }
-                let pts: Vec<Vec<f64>> = ambiguous
-                    .iter()
-                    .map(|&(ci, pi)| chains[ci].points[pi].clone())
-                    .collect();
-                n_evaluations += pts.len();
-                let ys_exact = checked_evaluate(limit_state, &pts)?;
-                total_quarantined += ys_exact.iter().filter(|y| y.is_nan()).count();
-                for (&(ci, pi), y) in ambiguous.iter().zip(ys_exact) {
-                    chains[ci].ys[pi] = y;
-                    chains[ci].caps[pi] = f64::INFINITY;
-                }
-                for chain in &mut chains {
-                    for pi in 1..chain.ys.len() {
-                        if chain.caps[pi].is_finite()
-                            && chain.caps[pi - 1].is_infinite()
-                            && chain.points[pi] == chain.points[pi - 1]
-                        {
-                            chain.ys[pi] = chain.ys[pi - 1];
-                            chain.caps[pi] = f64::INFINITY;
-                        }
-                    }
-                }
-            };
+            let flat_ys: Vec<f64> = chains.iter().flat_map(|c| c.ys.iter().copied()).collect();
+            let order = order_desc(&flat_ys);
+            let b_candidate = flat_ys[order[nc - 1]];
             let level_quarantined = flat_ys.iter().filter(|y| y.is_nan()).count();
             let n_fail = flat_ys.iter().filter(|&&y| y >= threshold).count();
             let direct = level == 0;
@@ -310,47 +243,16 @@ impl FailureEstimator for SubsetSimulation {
             let p_cond = nc as f64 / n as f64;
             cov_sq += (1.0 - p_cond) / (n as f64 * p_cond) * (1.0 + gamma);
 
-            // Intermediate-exit predictor for this level's candidates: a
-            // transient may stop once its response reaches `e`; `e ≥ b`
-            // keeps chain acceptance exact, and the extrapolated gap leaves
-            // headroom so few of the stored responses need a fix-up re-run
-            // at the next ladder decision. The first conditional level has
-            // no gap estimate yet and runs untruncated.
-            let exit = if self.intermediate_exit {
-                match prev_b {
-                    Some(pb) if b > pb => (b + 3.0 * (b - pb)).min(threshold),
-                    _ => threshold,
-                }
-            } else {
-                threshold
-            };
-            let truncating = self.intermediate_exit && exit < threshold;
-
-            // Seeds: the nc highest responses (deterministic tie-break).
-            let flat: Vec<(&Vec<f64>, f64, f64)> = chains
-                .iter()
-                .flat_map(|c| {
-                    c.points
-                        .iter()
-                        .zip(c.ys.iter().copied())
-                        .zip(c.caps.iter().copied())
-                        .map(|((p, y), cap)| (p, y, cap))
-                })
-                .collect();
-            let seeds: Vec<(Vec<f64>, f64, f64)> = order[..nc]
-                .iter()
-                .map(|&i| (flat[i].0.clone(), flat[i].1, flat[i].2))
-                .collect();
-
             // Chain lengths: distribute N states over nc chains.
             let base = n / nc;
             let extra = n % nc;
-            let mut new_chains: Vec<Chain> = seeds
-                .into_iter()
-                .map(|(p, y, cap)| Chain {
-                    points: vec![p],
-                    ys: vec![y],
-                    caps: vec![cap],
+            // Seeds: the nc highest responses (deterministic tie-break).
+            let flat_points: Vec<&Vec<f64>> = chains.iter().flat_map(|c| &c.points).collect();
+            let mut new_chains: Vec<Chain> = order[..nc]
+                .iter()
+                .map(|&i| Chain {
+                    points: vec![flat_points[i].clone()],
+                    ys: vec![flat_ys[i]],
                 })
                 .collect();
             let target_len =
@@ -393,11 +295,7 @@ impl FailureEstimator for SubsetSimulation {
                     Vec::new()
                 } else {
                     n_evaluations += batch.len();
-                    if truncating {
-                        checked_evaluate_truncated(limit_state, &batch, exit)?
-                    } else {
-                        checked_evaluate(limit_state, &batch)?
-                    }
+                    checked_evaluate(limit_state, &batch)?
                 };
                 total_quarantined += ys_cand.iter().filter(|y| y.is_nan()).count();
                 let mut bi = 0usize;
@@ -408,19 +306,11 @@ impl FailureEstimator for SubsetSimulation {
                     if ys_cand[bi] >= b {
                         chain.points.push(batch[bi].clone());
                         chain.ys.push(ys_cand[bi]);
-                        // A truncated evaluation reports exactly when the
-                        // response reached `exit`; below that it is exact.
-                        chain.caps.push(if truncating && ys_cand[bi] >= exit {
-                            exit
-                        } else {
-                            f64::INFINITY
-                        });
                         accepted += 1;
                     } else {
                         // Domain-rejected: the chain repeats its state.
                         chain.points.push(chain.points.last().unwrap().clone());
                         chain.ys.push(*chain.ys.last().unwrap());
-                        chain.caps.push(*chain.caps.last().unwrap());
                     }
                     bi += 1;
                 }
@@ -446,7 +336,6 @@ impl FailureEstimator for SubsetSimulation {
             });
             probability *= p_cond;
             chains = new_chains;
-            prev_b = Some(b);
         }
         unreachable!("loop returns or errors within max_levels + 1 iterations");
     }
@@ -621,143 +510,6 @@ mod tests {
                 Err(ReliabilityError::InvalidOptions(_))
             ));
         }
-    }
-
-    /// Wraps a limit state with honest truncation semantics: a truncated
-    /// evaluation reports `exit + 0.01·(y − exit)` for `y ≥ exit` (in
-    /// `[exit, y]`, order-preserving, tie-free) and the exact value below.
-    /// Counts how much work each path did.
-    struct TruncatingState {
-        inner: LinearState,
-        scale: f64,
-        truncated_values: usize,
-        seen_truncated_call: bool,
-        rerun_samples: usize,
-    }
-
-    impl TruncatingState {
-        fn new(d: usize, beta: f64, scale: f64) -> Self {
-            TruncatingState {
-                inner: LinearState {
-                    d,
-                    beta,
-                    evaluations: 0,
-                },
-                scale,
-                truncated_values: 0,
-                seen_truncated_call: false,
-                rerun_samples: 0,
-            }
-        }
-    }
-
-    impl LimitState for TruncatingState {
-        fn dim(&self) -> usize {
-            self.inner.dim()
-        }
-        fn threshold(&self) -> f64 {
-            (self.scale * self.inner.threshold()).exp()
-        }
-        fn evaluate(&mut self, points: &[Vec<f64>]) -> Result<Vec<f64>, ReliabilityError> {
-            // After the first truncated call, plain evaluations can only be
-            // fix-up re-runs (candidates switch to the truncated path from
-            // the second conditional level on).
-            if self.seen_truncated_call {
-                self.rerun_samples += points.len();
-            }
-            let ys = self.inner.evaluate(points)?;
-            Ok(ys.iter().map(|y| (self.scale * y).exp()).collect())
-        }
-        fn evaluate_truncated(
-            &mut self,
-            points: &[Vec<f64>],
-            exit: f64,
-        ) -> Result<Vec<f64>, ReliabilityError> {
-            self.seen_truncated_call = true;
-            let ys = self.inner.evaluate(points)?;
-            Ok(ys
-                .iter()
-                .map(|y| {
-                    let y = (self.scale * y).exp();
-                    if y >= exit {
-                        self.truncated_values += 1;
-                        exit + 0.01 * (y - exit)
-                    } else {
-                        y
-                    }
-                })
-                .collect())
-        }
-    }
-
-    #[test]
-    fn intermediate_exit_estimate_stays_unbiased() {
-        // Y = exp(u/√d · scale): exact p = Φ(−β). Mild growth, so the
-        // 3-gap predictor mostly holds and truncation is exercised heavily.
-        let beta = 2.8;
-        let p = exact_p(beta);
-        let mut plain = TruncatingState::new(2, beta, 1.0);
-        let ss = SubsetSimulation::new(900, 21);
-        let reference = ss.estimate(&mut plain).unwrap();
-        assert_eq!(plain.truncated_values, 0, "flag off must never truncate");
-
-        let mut trunc = TruncatingState::new(2, beta, 1.0);
-        let ss_exit = SubsetSimulation {
-            intermediate_exit: true,
-            ..SubsetSimulation::new(900, 21)
-        };
-        let est = ss_exit.estimate(&mut trunc).unwrap();
-        assert!(trunc.truncated_values > 0, "truncated path never used");
-        assert!(
-            (est.probability - p).abs() < 3.0 * p.max(est.probability) * est.cov,
-            "estimate {} vs exact {p} (cov {})",
-            est.probability,
-            est.cov
-        );
-        assert!(est.agrees_with(&reference, 3.0));
-        // Re-runs (if any) are billed as evaluations.
-        assert_eq!(
-            est.n_evaluations,
-            trunc.inner.evaluations,
-            "every solve must be billed"
-        );
-    }
-
-    #[test]
-    fn intermediate_exit_rerun_path_triggers_and_stays_sound() {
-        // Y = exp(6·u): the ladder accelerates multiplicatively, the
-        // predictor undershoots the next threshold, and stored truncated
-        // responses must be re-evaluated before the ladder decision.
-        let beta = 2.5;
-        let p = exact_p(beta);
-        let mut trunc = TruncatingState::new(1, beta, 6.0);
-        let ss = SubsetSimulation {
-            intermediate_exit: true,
-            ..SubsetSimulation::new(600, 9)
-        };
-        let est = ss.estimate(&mut trunc).unwrap();
-        assert!(trunc.truncated_values > 0);
-        assert!(trunc.rerun_samples > 0, "fix-up re-run path never triggered");
-        assert!(
-            (est.probability - p).abs() < 3.0 * p.max(est.probability) * est.cov,
-            "estimate {} vs exact {p} (cov {})",
-            est.probability,
-            est.cov
-        );
-        assert_eq!(est.n_evaluations, trunc.inner.evaluations);
-    }
-
-    #[test]
-    fn intermediate_exit_is_bit_deterministic() {
-        let run = || {
-            let mut ls = TruncatingState::new(2, 2.6, 1.0);
-            let ss = SubsetSimulation {
-                intermediate_exit: true,
-                ..SubsetSimulation::new(400, 33)
-            };
-            ss.estimate(&mut ls).unwrap()
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

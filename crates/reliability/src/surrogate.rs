@@ -420,18 +420,22 @@ impl<F: QoiEvaluator> QoiEvaluator for SurrogateWithFallback<F> {
 
 /// Adapts any [`QoiEvaluator`] to the [`LimitState`] interface: each
 /// standard-normal point is mapped to physical space through the
-/// marginals, the evaluator answers the batch, and one QoI index (0 by
-/// default — the response convention) is the limit-state response.
-/// Quarantined samples (empty QoI vectors) become `NaN` responses, which
-/// every estimator counts as "not failed".
+/// marginals, the evaluator answers the batch, and **QoI 0 is the
+/// limit-state response** — the convention `etherm_package::FailureScenario`
+/// implements with its early-exited peak temperature. Quarantined samples
+/// (empty QoI vectors) become `NaN` responses, which every estimator counts
+/// as "not failed".
 ///
-/// Wrap a [`SurrogateWithFallback`] to surrogate-screen an estimator's
-/// candidate sweep; wrap a plain `FullSolve` for the reference run.
+/// Over a plain `FullSolve` this is the engine-backed limit state: every
+/// batch fans out over `run_ensemble` worker sessions and merges in sample
+/// order, so estimates are bit-deterministic for any
+/// `EnsembleOptions::n_threads`; the solve ledger is
+/// `evaluator().counters()`. Wrap a [`SurrogateWithFallback`] instead to
+/// surrogate-screen an estimator's candidate sweep.
 pub struct QoiLimitState<E: QoiEvaluator> {
     evaluator: E,
     marginals: Vec<Box<dyn Distribution>>,
     threshold: f64,
-    qoi_index: usize,
     quarantined: usize,
 }
 
@@ -449,15 +453,8 @@ impl<E: QoiEvaluator> QoiLimitState<E> {
             evaluator,
             marginals,
             threshold,
-            qoi_index: 0,
             quarantined: 0,
         }
-    }
-
-    /// Uses QoI index `i` as the response instead of 0.
-    pub fn with_qoi_index(mut self, i: usize) -> Self {
-        self.qoi_index = i;
-        self
     }
 
     /// The wrapped evaluator (serving/fallback ledger lives there).
@@ -507,7 +504,7 @@ impl<E: QoiEvaluator> LimitState for QoiLimitState<E> {
         }
         Ok(outputs
             .iter()
-            .map(|qoi| match qoi.get(self.qoi_index) {
+            .map(|qoi| match qoi.first() {
                 Some(&y) => y,
                 None => {
                     self.quarantined += 1;
@@ -705,6 +702,40 @@ mod tests {
         assert!(est.probability > 0.0);
         assert_eq!(ls.quarantined(), 0);
         assert_eq!(ls.into_evaluator().full_solves(), 2000);
+    }
+
+    /// Drops the first sample's answer: a broken evaluator contract.
+    struct ShortAnswer;
+
+    impl QoiEvaluator for ShortAnswer {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn evaluate(&mut self, samples: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, CoreError> {
+            Ok(samples[1..].iter().map(|x| truth(x)).collect())
+        }
+        fn full_solves(&self) -> usize {
+            0
+        }
+        fn served(&self) -> usize {
+            0
+        }
+        fn counters(&self) -> SolveCounters {
+            SolveCounters::default()
+        }
+    }
+
+    #[test]
+    fn short_evaluator_output_is_an_evaluation_error() {
+        let mut ls = QoiLimitState::new(ShortAnswer, std_marginals(), 2.0);
+        let points = vec![vec![0.0, 0.0], vec![1.0, -1.0], vec![0.5, 0.5]];
+        match ls.evaluate(&points) {
+            Err(ReliabilityError::Evaluation(msg)) => {
+                assert!(msg.contains("2 outputs for 3 points"), "{msg}")
+            }
+            other => panic!("expected an Evaluation error, got {other:?}"),
+        }
+        assert_eq!(ls.quarantined(), 0);
     }
 
     #[test]

@@ -8,14 +8,14 @@ use etherm_bondwire::analytic::{
 };
 use etherm_core::{
     run_ensemble, CompiledModel, CoreError, ElectrothermalModel, EnsembleOptions, FailurePolicy,
-    Scenario, Session, SolverOptions, ThresholdObserver,
+    FullSolve, QoiEvaluator, Scenario, Session, SolverOptions, ThresholdObserver,
 };
 use etherm_fit::boundary::ThermalBoundary;
 use etherm_grid::{Axis, CellPaint, Grid3, MaterialId};
 use etherm_materials::{library, MaterialTable};
 use etherm_reliability::{
-    find_critical_load, find_critical_load_sampled, EnsembleLimitState, FailureEstimator,
-    FusingSearchOptions, MonteCarloEstimator, SubsetSimulation,
+    find_critical_load, find_critical_load_sampled, FailureEstimator, FusingSearchOptions,
+    MonteCarloEstimator, QoiLimitState, SubsetSimulation,
 };
 use etherm_uq::{Distribution, TruncatedNormal};
 use std::sync::Arc;
@@ -97,15 +97,14 @@ fn subset_estimate_is_bit_deterministic_for_any_thread_count() {
     let threshold = find_tail_threshold(&compiled);
     let scn = scenario(threshold);
     let estimate = |n_threads: usize| {
-        let mut ls = EnsembleLimitState::new(
-            &compiled,
-            &scn,
+        let options = EnsembleOptions {
+            n_threads,
+            ..EnsembleOptions::default()
+        };
+        let mut ls = QoiLimitState::new(
+            FullSolve::new(&compiled, &scn, 1, options),
             vec![Box::new(length_marginal()) as Box<dyn Distribution>],
             threshold,
-            EnsembleOptions {
-                n_threads,
-                ..EnsembleOptions::default()
-            },
         );
         SubsetSimulation::new(64, 2016).estimate(&mut ls).unwrap()
     };
@@ -155,19 +154,19 @@ fn quarantined_samples_surface_through_the_estimate() {
         cutoff: marginal.quantile(0.10),
     };
     let estimate = |n_threads: usize| {
-        let mut ls = EnsembleLimitState::new(
-            &compiled,
-            &scn,
+        let options = EnsembleOptions {
+            n_threads,
+            failure_policy: FailurePolicy::Quarantine { max_failures: 200 },
+            ..EnsembleOptions::default()
+        };
+        let mut ls = QoiLimitState::new(
+            FullSolve::new(&compiled, &scn, 1, options),
             vec![Box::new(length_marginal()) as Box<dyn Distribution>],
             threshold,
-            EnsembleOptions {
-                n_threads,
-                failure_policy: FailurePolicy::Quarantine { max_failures: 200 },
-                ..EnsembleOptions::default()
-            },
         );
         let est = MonteCarloEstimator::new(200, 7).estimate(&mut ls).unwrap();
         assert_eq!(ls.quarantined(), est.quarantined);
+        assert_eq!(ls.evaluator().quarantined(), est.quarantined);
         est
     };
     let serial = estimate(1);
@@ -209,23 +208,12 @@ fn subset_agrees_with_monte_carlo_and_exits_early() {
     let scn = scenario(threshold);
     let marginals = || vec![Box::new(length_marginal()) as Box<dyn Distribution>];
 
-    let mut mc_state = EnsembleLimitState::new(
-        &compiled,
-        &scn,
-        marginals(),
-        threshold,
-        EnsembleOptions::default(),
-    );
+    let full_solve = || FullSolve::new(&compiled, &scn, 1, EnsembleOptions::default());
+    let mut mc_state = QoiLimitState::new(full_solve(), marginals(), threshold);
     let mc = MonteCarloEstimator::new(400, 7).estimate(&mut mc_state).unwrap();
     assert!(mc.probability > 0.0, "threshold calibration failed");
 
-    let mut ss_state = EnsembleLimitState::new(
-        &compiled,
-        &scn,
-        marginals(),
-        threshold,
-        EnsembleOptions::default(),
-    );
+    let mut ss_state = QoiLimitState::new(full_solve(), marginals(), threshold);
     let ss = SubsetSimulation::new(80, 2016).estimate(&mut ss_state).unwrap();
     assert!(
         ss.agrees_with(&mc, 3.0),
@@ -235,12 +223,13 @@ fn subset_agrees_with_monte_carlo_and_exits_early() {
         mc.probability,
         mc.cov
     );
-    // The engine actually went through the ensemble machinery, batch by
-    // batch. (The early-exit solve-count advantage is gated at paper step
-    // counts in `bench_failure` — at 4 steps the crossing bisection
-    // overhead dominates what an early exit saves.)
-    assert!(ss_state.batches() > 1);
-    assert!(ss_state.counters().thermal_solves > 0);
+    // The engine actually went through the ensemble machinery: every
+    // evaluation was one full transient. (The early-exit solve-count
+    // advantage is gated at paper step counts in `bench_failure` — at 4
+    // steps the crossing bisection overhead dominates what an early exit
+    // saves.)
+    assert_eq!(ss_state.evaluator().full_solves(), ss.n_evaluations);
+    assert!(ss_state.evaluator().counters().thermal_solves > 0);
 }
 
 #[test]

@@ -106,19 +106,6 @@ impl JobTicket {
         }
         None
     }
-
-    /// Collects every frame through the terminal one.
-    pub fn collect_frames(&self) -> Vec<Response> {
-        let mut frames = Vec::new();
-        while let Some(frame) = self.next() {
-            let done = is_terminal(&frame);
-            frames.push(frame);
-            if done {
-                break;
-            }
-        }
-        frames
-    }
 }
 
 fn is_terminal(frame: &Response) -> bool {

@@ -62,15 +62,6 @@ impl RunningStats {
         }
     }
 
-    /// Population variance (ddof = 0).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (ddof = 1; 0 with fewer than two samples).
     pub fn sample_variance(&self) -> f64 {
         if self.count < 2 {
