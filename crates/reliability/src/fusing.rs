@@ -5,10 +5,11 @@
 //! *melting* current of an isolated wire. The field-coupled analogue asked
 //! by the paper is subtler: at which drive level does the hottest wire of
 //! the *package* (with its real pad cooling and mold coupling) first reach
-//! the degradation threshold? [`find_critical_load`] answers it by
-//! bisection on the session's drive scale, reusing one warm session across
-//! the bracketing transients — every failing probe early-exits at its
-//! threshold crossing, so the upper half of the bracket costs a fraction
+//! the degradation threshold? [`find_critical_load`] answers it on the
+//! session's drive scale: doublings from the low end bracket the critical
+//! scale, then bisection narrows the bracket, reusing one warm session
+//! across the transients — every failing probe early-exits at its
+//! threshold crossing, so the failing side of the bracket costs a fraction
 //! of a full run.
 
 use crate::error::ReliabilityError;
@@ -25,9 +26,11 @@ pub struct FusingSearchOptions {
     /// Failure threshold on `maxⱼ T_bw,j` (K) — the paper's
     /// `T_critical = 523 K` for mold degradation.
     pub threshold: f64,
-    /// Lower end of the drive-scale bracket (expected safe).
+    /// Lower end of the drive-scale bracket (expected safe); the search
+    /// doubles the scale from here.
     pub scale_lo: f64,
-    /// Upper end of the drive-scale bracket (expected failing).
+    /// Upper end of the drive-scale bracket: the doublings stop here, and
+    /// a search that finds it safe reports it.
     pub scale_hi: f64,
     /// Relative bracket-width target: bisection stops when
     /// `hi − lo ≤ tol_rel·hi`.
@@ -68,8 +71,12 @@ pub struct CriticalLoad {
     pub failing_crossing_time: Option<f64>,
 }
 
-/// Finds the critical drive scale of the session's model by bisection (see
-/// the module docs). The session's wire lengths (and any other applied
+/// Finds the critical drive scale of the session's model. It probes
+/// `scale_lo`, then doubles the scale, clamped to `scale_hi`, up to the
+/// first failing probe (from `scale_lo = 0` the first doubling is
+/// `scale_hi`), and bisects between that probe and the last safe one. The
+/// result does not depend on `scale_hi` once `scale_hi` lies past the first
+/// failing doubling. The session's wire lengths (and any other applied
 /// parameters) are honored; warm-start mode is enabled for the duration so
 /// consecutive probes share preconditioners and thermal guesses. On return
 /// the session's drive scale is left at the reported safe `scale` and warm
@@ -99,7 +106,7 @@ pub fn find_critical_load(
     }
     let original_scale = session.drive_scale();
     session.set_warm_start(true);
-    let result = bisect(session, options);
+    let result = search(session, options);
     session.set_warm_start(false);
     if result.is_err() {
         // A solver failure mid-bisection must not leave the caller's
@@ -172,7 +179,7 @@ pub fn find_critical_load_sampled(
     Ok(out)
 }
 
-fn bisect(
+fn search(
     session: &mut Session,
     options: &FusingSearchOptions,
 ) -> Result<CriticalLoad, ReliabilityError> {
@@ -203,7 +210,9 @@ fn bisect(
         Ok(observed.crossing_time.is_some())
     };
 
-    // Bracket ends.
+    // Bracket: the low end, then doublings clamped to the high end, up to
+    // the first failing probe. A failing probe far past the critical scale
+    // costs the most Picard iterates, so the search stays near it.
     if probe(
         session,
         options.scale_lo,
@@ -221,25 +230,36 @@ fn bisect(
             failing_crossing_time,
         });
     }
-    if !probe(
-        session,
-        options.scale_hi,
-        &mut runs,
-        &mut early_exits,
-        &mut failing_crossing_time,
-    )? {
-        // Safe everywhere in the bracket.
-        session.set_drive_scale(options.scale_hi)?;
-        return Ok(CriticalLoad {
-            scale: options.scale_hi,
-            bracket: (options.scale_hi, options.scale_hi),
-            runs,
-            early_exits,
-            failing_crossing_time,
-        });
-    }
+    let mut lo = options.scale_lo;
+    let mut hi = loop {
+        let next = if lo > 0.0 {
+            (2.0 * lo).min(options.scale_hi)
+        } else {
+            options.scale_hi
+        };
+        if probe(
+            session,
+            next,
+            &mut runs,
+            &mut early_exits,
+            &mut failing_crossing_time,
+        )? {
+            break next;
+        }
+        if next >= options.scale_hi {
+            // Safe everywhere in the bracket.
+            session.set_drive_scale(options.scale_hi)?;
+            return Ok(CriticalLoad {
+                scale: options.scale_hi,
+                bracket: (options.scale_hi, options.scale_hi),
+                runs,
+                early_exits,
+                failing_crossing_time,
+            });
+        }
+        lo = next;
+    };
 
-    let (mut lo, mut hi) = (options.scale_lo, options.scale_hi);
     for _ in 0..options.max_iter {
         if hi - lo <= options.tol_rel * hi {
             break;

@@ -397,3 +397,35 @@ fn fusing_search_saturates_and_rejects_bad_brackets() {
     };
     assert!(find_critical_load(&mut session, &bad).is_err());
 }
+
+/// The doublings stop at the first failing probe, so a high end far past
+/// the critical scale is never probed: the search makes the same probes
+/// and returns the same bits for `scale_hi` 16 and 1024.
+#[test]
+fn fusing_search_ignores_a_distant_high_end() {
+    let compiled = compiled();
+    let search = |scale_hi: f64| {
+        let options = FusingSearchOptions {
+            t_end: 2.0,
+            n_steps: 4,
+            threshold: 360.0,
+            scale_lo: 0.25,
+            scale_hi,
+            tol_rel: 2e-2,
+            max_iter: 30,
+        };
+        find_critical_load(&mut Session::new(Arc::clone(&compiled)), &options).unwrap()
+    };
+    let near = search(16.0);
+    let far = search(1024.0);
+    assert_eq!(near.runs, far.runs);
+    assert_eq!(near.early_exits, far.early_exits);
+    assert_eq!(near.scale.to_bits(), far.scale.to_bits());
+    assert_eq!(near.bracket.0.to_bits(), far.bracket.0.to_bits());
+    assert_eq!(near.bracket.1.to_bits(), far.bracket.1.to_bits());
+    assert_eq!(
+        near.failing_crossing_time.map(f64::to_bits),
+        far.failing_crossing_time.map(f64::to_bits)
+    );
+    assert!(near.scale > 0.25 && near.bracket.1 < 16.0, "{near:?}");
+}

@@ -2,8 +2,8 @@
 //!
 //! The `wall-clock` lint bans `Instant`/`SystemTime` outside the bench
 //! harness because elapsed time must never shape physics. A server still
-//! needs time — health uptime, queue-age accounting, connection timeouts —
-//! so this module confines it behind [`Clock`]: production wires in
+//! needs time for the uptime in its health frame, so this module confines
+//! it behind [`Clock`]: production wires in
 //! [`SystemClock`] (the crate's only justified wall-clock lint escapes,
 //! re-asserted by `crates/lint/tests/self_check.rs`), tests wire
 //! in [`ManualClock`] and stay fully deterministic. Nothing downstream of

@@ -1,27 +1,23 @@
 //! The TCP front end: newline-delimited JSON frames over a plain socket.
 //!
-//! Each accepted connection gets a reader thread parsing one [`Request`]
-//! per line; job frames are forwarded from the engine's per-job channel
-//! onto the shared connection writer, so frames for concurrent jobs on
-//! one connection interleave but each individual frame stays intact (one
-//! line each, writes serialized by a mutex).
+//! Each accepted connection is one reader thread and one writer thread
+//! joined by one channel of [`Response`] frames. The reader parses one
+//! [`Request`] per line and answers it into the channel: the jobs it
+//! submits send their frames there, and so do immediate answers. The
+//! writer sends each frame with its newline in one write on a
+//! `TCP_NODELAY` socket, so the frames of concurrent jobs on one
+//! connection interleave whole and each job's frames stay in order. The
+//! writer ends once the reader is done and every job it submitted has
+//! sent its terminal frame.
 //!
 //! Unparseable input never kills the connection: it's answered with a
 //! structured `error` frame (id 0, kind `invalid`).
 
-use crate::engine::{Engine, RequestOutcome};
-use crate::protocol::Request;
+use crate::engine::Engine;
+use crate::protocol::{ErrorKind, Request, Response, PROTOCOL_VERSION};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use std::sync::{mpsc, Arc};
 
 /// A running NDJSON-over-TCP server around an [`Engine`].
 pub struct Daemon {
@@ -51,96 +47,113 @@ impl Daemon {
         self.local_addr
     }
 
-    /// Accepts and serves connections until a `shutdown` request arrives.
-    /// Each connection is served on its own thread. A watchdog thread
-    /// self-connects once the engine's shutdown flag flips, so the blocked
-    /// `accept` always wakes up — callers never need to nudge the port.
+    /// Accepts and serves connections until a `shutdown` request arrives,
+    /// then returns once every connection has closed. Connections are
+    /// served on scoped threads. The connection that handles `shutdown`
+    /// joins the engine's workers and then connects to the listener once,
+    /// which wakes the blocked `accept`. A `shutdown` frame is the way to
+    /// stop a daemon: stopping its engine with
+    /// [`Engine::shutdown_and_join`] leaves `accept` waiting until the next
+    /// connection arrives.
     pub fn run(self) {
-        let done = Arc::new(AtomicBool::new(false));
-        let watchdog = {
-            let engine = Arc::clone(&self.engine);
-            let done = Arc::clone(&done);
-            let addr = self.local_addr;
-            std::thread::spawn(move || {
-                while !(engine.is_shutting_down() || done.load(Ordering::SeqCst)) {
-                    std::thread::park_timeout(std::time::Duration::from_millis(50));
+        std::thread::scope(|scope| {
+            for stream in self.listener.incoming() {
+                let Ok(stream) = stream else { break };
+                if self.engine.is_shutting_down() {
+                    break;
                 }
-                let _ = TcpStream::connect(addr);
-            })
-        };
-        let mut conn_threads = Vec::new();
-        loop {
-            let (stream, _) = match self.listener.accept() {
-                Ok(pair) => pair,
-                Err(_) => break,
-            };
-            if self.engine.is_shutting_down() {
-                break;
+                scope.spawn(|| serve_connection(stream, &self.engine, self.local_addr));
             }
-            let engine = Arc::clone(&self.engine);
-            conn_threads.push(std::thread::spawn(move || serve_connection(stream, &engine)));
-        }
-        done.store(true, Ordering::SeqCst);
-        let _ = watchdog.join();
-        for t in conn_threads {
-            let _ = t.join();
-        }
+        });
     }
 }
 
-fn serve_connection(stream: TcpStream, engine: &Arc<Engine>) {
-    let reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => return,
+/// Serves one connection until the client closes it or asks for shutdown.
+fn serve_connection(stream: TcpStream, engine: &Engine, listener_addr: SocketAddr) {
+    let _ = stream.set_nodelay(true);
+    let Ok(read_half) = stream.try_clone() else {
+        return;
     };
-    let writer = Arc::new(Mutex::new(stream));
-    let mut forwarders = Vec::new();
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match Request::from_line(&line) {
-            Ok(request) => request,
-            Err(e) => {
-                write_frame(&writer, &Engine::protocol_error_response(&e).to_line());
-                continue;
-            }
-        };
-        let shutdown = matches!(request, Request::Shutdown);
-        match engine.handle_request(request) {
-            RequestOutcome::One(response) => write_frame(&writer, &response.to_line()),
-            RequestOutcome::Stream(rx) => {
-                // Forward the job's frames without blocking the read loop,
-                // so one connection can run concurrent jobs.
-                let writer = Arc::clone(&writer);
-                forwarders.push(std::thread::spawn(move || {
-                    while let Ok(frame) = rx.recv() {
-                        write_frame(&writer, &frame.to_line());
-                    }
-                }));
-            }
-            RequestOutcome::None => {}
-            RequestOutcome::Shutdown => {}
-        }
-        if shutdown {
+    let (frames, outbox) = mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| write_frames(stream, outbox));
+        read_requests(read_half, engine, frames, listener_addr);
+    });
+}
+
+/// Answers request lines until the client closes the connection or asks
+/// for shutdown. Dropping `frames` on return lets the writer finish once
+/// the jobs submitted here are done.
+fn read_requests(
+    stream: TcpStream,
+    engine: &Engine,
+    frames: mpsc::Sender<Response>,
+    listener_addr: SocketAddr,
+) {
+    for line in BufReader::new(stream).lines() {
+        let Ok(line) = line else { break };
+        if !line.trim().is_empty() && answer(engine, &line, &frames) {
+            // The engine has stopped: wake the blocked `accept` once.
+            let _ = TcpStream::connect(listener_addr);
             break;
         }
     }
-    for t in forwarders {
-        let _ = t.join();
-    }
-    let _ = lock_or_recover(&writer).flush();
 }
 
-fn write_frame(writer: &Arc<Mutex<TcpStream>>, line: &str) {
-    let mut guard = lock_or_recover(writer);
-    let _ = guard.write_all(line.as_bytes());
-    let _ = guard.write_all(b"\n");
-    let _ = guard.flush();
+/// Writes each frame with its newline in one `write_all`, until every
+/// sender is gone or the client stops reading.
+fn write_frames(mut stream: TcpStream, outbox: mpsc::Receiver<Response>) {
+    for frame in outbox {
+        let mut line = frame.to_line();
+        line.push('\n');
+        if stream.write_all(line.as_bytes()).is_err() {
+            break;
+        }
+    }
+}
+
+/// Answers one request line into `frames`: a submitted job sends its own
+/// frames there, everything else at most one immediate frame. Returns
+/// whether the line was `shutdown`, after the engine has stopped.
+fn answer(engine: &Engine, line: &str, frames: &mpsc::Sender<Response>) -> bool {
+    let reply = match Request::from_line(line) {
+        Ok(Request::Hello { version }) => Response::Hello {
+            version: PROTOCOL_VERSION,
+            ok: version == PROTOCOL_VERSION,
+        },
+        Ok(Request::Submit {
+            id,
+            class,
+            model,
+            params,
+            seed,
+        }) => {
+            engine.submit(id, class, model, params, seed, frames.clone());
+            return false;
+        }
+        Ok(Request::Cancel { id }) => {
+            if engine.cancel(id) {
+                return false;
+            }
+            Response::Error {
+                id,
+                kind: ErrorKind::Invalid,
+                message: "no active job with this id".to_string(),
+            }
+        }
+        Ok(Request::Health) => engine.health(),
+        Ok(Request::Shutdown) => {
+            engine.shutdown_and_join();
+            return true;
+        }
+        Err(e) => Response::Error {
+            id: 0,
+            kind: ErrorKind::Invalid,
+            message: e.message,
+        },
+    };
+    let _ = frames.send(reply);
+    false
 }
 
 /// Runs a daemon to completion on the current thread, printing

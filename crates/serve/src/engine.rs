@@ -28,8 +28,7 @@
 
 use crate::clock::Clock;
 use crate::protocol::{
-    ErrorKind, JobParams, ModelHealth, ProtocolError, Request, RequestClass, Response,
-    PROTOCOL_VERSION,
+    ErrorKind, JobParams, ModelHealth, RequestClass, Response, PROTOCOL_VERSION,
 };
 use crate::registry::ModelRegistry;
 use crate::spec::ModelSpec;
@@ -300,8 +299,12 @@ impl Engine {
         engine
     }
 
-    /// Submits a job; all frames for it (from `accepted`/`shed` to the
-    /// terminal frame) arrive on the returned receiver in order.
+    /// Submits a job whose frames go into `tx`, in order: `accepted` (or
+    /// `shed` / `error`, sent before this returns), then `progress` frames,
+    /// then one terminal frame. Several jobs may share one sender, as a
+    /// daemon connection's do; their frames then interleave whole, each
+    /// job's in order. The job keeps `tx` until its terminal frame is sent,
+    /// so the channel closes only once every job sharing it is done.
     pub fn submit(
         &self,
         id: u64,
@@ -309,10 +312,10 @@ impl Engine {
         spec: ModelSpec,
         params: JobParams,
         seed: u64,
-    ) -> mpsc::Receiver<Response> {
-        let (tx, rx) = mpsc::channel();
+        tx: mpsc::Sender<Response>,
+    ) {
         let s = &self.shared;
-        let refuse = |tx: &mpsc::Sender<Response>, message: &str| {
+        let refuse = |message: &str| {
             let _ = tx.send(Response::Error {
                 id,
                 kind: ErrorKind::Invalid,
@@ -320,20 +323,20 @@ impl Engine {
             });
         };
         if id == 0 {
-            refuse(&tx, "job id must be a positive integer");
-            return rx;
+            refuse("job id must be a positive integer");
+            return;
         }
         if s.shutdown.load(Ordering::SeqCst) {
-            refuse(&tx, "engine is shutting down");
-            return rx;
+            refuse("engine is shutting down");
+            return;
         }
         let cancel = Arc::new(AtomicBool::new(false));
         {
             let mut active = lock_or_recover(&s.active);
             if active.contains_key(&id) {
                 drop(active);
-                refuse(&tx, "job id already active");
-                return rx;
+                refuse("job id already active");
+                return;
             }
             active.insert(id, Arc::clone(&cancel));
         }
@@ -344,12 +347,12 @@ impl Engine {
             .is_some_and(|m| m.degraded(s.config.degrade_after));
         if degraded {
             self.shed(id, &tx, "model degraded: recovery ledger above threshold");
-            return rx;
+            return;
         }
         // Bounded queue: overflow sheds rather than queueing unboundedly.
         if s.queued.load(Ordering::SeqCst) >= s.config.queue_capacity {
             self.shed(id, &tx, "queue full");
-            return rx;
+            return;
         }
         let _ = tx.send(Response::Accepted { id });
         let job = Job {
@@ -367,7 +370,6 @@ impl Engine {
         let target = (hash % s.config.workers as u64) as usize;
         lock_or_recover(&s.queues[target]).push_back(job);
         s.wake_all();
-        rx
     }
 
     fn shed(&self, id: u64, tx: &mpsc::Sender<Response>, reason: &str) {
@@ -459,62 +461,6 @@ impl Engine {
     pub fn is_shutting_down(&self) -> bool {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
-
-    /// Answers a parsed request frame (the shared front half of the TCP
-    /// daemon and the in-process handle). `Submit` returns the job's frame
-    /// stream; everything else returns a single immediate response.
-    pub fn handle_request(&self, request: Request) -> RequestOutcome {
-        match request {
-            Request::Hello { version } => RequestOutcome::One(Response::Hello {
-                version: PROTOCOL_VERSION,
-                ok: version == PROTOCOL_VERSION,
-            }),
-            Request::Submit {
-                id,
-                class,
-                model,
-                params,
-                seed,
-            } => RequestOutcome::Stream(self.submit(id, class, model, params, seed)),
-            Request::Cancel { id } => {
-                if self.cancel(id) {
-                    RequestOutcome::None
-                } else {
-                    RequestOutcome::One(Response::Error {
-                        id,
-                        kind: ErrorKind::Invalid,
-                        message: "no active job with this id".to_string(),
-                    })
-                }
-            }
-            Request::Health => RequestOutcome::One(self.health()),
-            Request::Shutdown => {
-                self.shutdown_and_join();
-                RequestOutcome::Shutdown
-            }
-        }
-    }
-
-    /// The structured answer to an unparseable frame.
-    pub fn protocol_error_response(e: &ProtocolError) -> Response {
-        Response::Error {
-            id: 0,
-            kind: ErrorKind::Invalid,
-            message: e.message.clone(),
-        }
-    }
-}
-
-/// What [`Engine::handle_request`] produced.
-pub enum RequestOutcome {
-    /// A single immediate response.
-    One(Response),
-    /// A stream of frames for a submitted job.
-    Stream(mpsc::Receiver<Response>),
-    /// Cancel acknowledged; the outcome arrives on the job's own stream.
-    None,
-    /// The engine has shut down.
-    Shutdown,
 }
 
 fn model_state(shared: &Shared, hash: u64, compiled: &Arc<CompiledModel>) -> Arc<ModelState> {

@@ -57,7 +57,8 @@ impl ServeHandle {
         params: JobParams,
         seed: u64,
     ) -> JobTicket {
-        let rx = self.engine.submit(id, class, spec, params, seed);
+        let (tx, rx) = mpsc::channel();
+        self.engine.submit(id, class, spec, params, seed, tx);
         JobTicket { id, rx }
     }
 

@@ -12,9 +12,10 @@
 //!   scheduler over `std::thread` workers, with admission control
 //!   (bounded queue + load shedding, per-request-class iteration
 //!   budgets, per-model health from merged recovery ledgers);
-//! * [`ServeHandle`] — the in-process client;
+//! * [`ServeHandle`] — the in-process client, one channel per job;
 //! * [`daemon`] — the TCP front end speaking the versioned NDJSON
-//!   protocol of [`protocol`] (see `crates/serve/PROTOCOL.md`).
+//!   protocol of [`protocol`] (see `crates/serve/PROTOCOL.md`), one
+//!   reader and one writer thread per connection.
 //!
 //! # Determinism
 //!
@@ -40,7 +41,7 @@ pub mod spec;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use daemon::Daemon;
-pub use engine::{ClassBudgets, Engine, RequestOutcome, ServeConfig, ServeFullSolve};
+pub use engine::{ClassBudgets, Engine, ServeConfig, ServeFullSolve};
 pub use handle::{JobTicket, ServeHandle};
 pub use protocol::{
     ErrorKind, JobParams, ModelHealth, ProtocolError, Request, RequestClass, Response,
