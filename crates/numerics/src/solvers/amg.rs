@@ -40,11 +40,13 @@
 //!
 //! One application of the preconditioner `z = M⁻¹·r` is a single **V-cycle**:
 //! pre-smoothing, restriction of the residual, recursion, coarse-grid
-//! correction, post-smoothing. With a symmetric smoother pairing (weighted
-//! Jacobi on both sides, or a forward SOR pre-sweep mirrored by a backward
-//! SOR post-sweep — see [`AmgSmoother`]) and a symmetric coarsest solve, the
-//! V-cycle operator is symmetric positive definite, as preconditioned CG
-//! requires.
+//! correction, post-smoothing. With a symmetric smoother pairing (forward
+//! SOR pre-sweeps mirrored by backward SOR post-sweeps — see
+//! [`AmgSmoother`]) and a symmetric coarsest solve, the V-cycle operator is
+//! symmetric positive definite, as preconditioned CG requires. Every level
+//! starts its pre-smoothing from a zero iterate, so the first forward sweep
+//! reads only the strictly lower triangle of each row: the upper part would
+//! multiply entries that are still zero.
 //!
 //! # The frozen-skeleton refresh contract
 //!
@@ -68,17 +70,12 @@ use std::cell::RefCell;
 
 /// Smoother applied before and after each coarse-grid correction.
 ///
-/// Both choices yield a *symmetric* V-cycle: Jacobi is symmetric by itself,
-/// and the SOR variant pairs a forward pre-sweep with a backward post-sweep.
+/// The forward pre-sweeps are mirrored by backward post-sweeps, so the
+/// V-cycle is *symmetric*. The first pre-sweep of each level starts from a
+/// zero iterate and reads only the strictly lower triangle; it gives the
+/// same bits as a full sweep over that zero iterate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AmgSmoother {
-    /// Weighted (damped) Jacobi: `x ← x + ω·D⁻¹·(b − A·x)`.
-    Jacobi {
-        /// Damping factor, typically `2/3`.
-        omega: f64,
-        /// Sweeps per pre-/post-smoothing phase.
-        sweeps: usize,
-    },
     /// Successive over-relaxation: forward sweeps before, backward sweeps
     /// after the coarse-grid correction (an SSOR splitting of the V-cycle).
     Ssor {
@@ -91,8 +88,7 @@ pub enum AmgSmoother {
 
 impl Default for AmgSmoother {
     fn default() -> Self {
-        // A symmetric Gauss–Seidel pair is the classic workhorse: stronger
-        // than Jacobi at the same cost per sweep.
+        // A symmetric Gauss–Seidel pair is the classic workhorse.
         AmgSmoother::Ssor {
             omega: 1.0,
             sweeps: 1,
@@ -131,28 +127,137 @@ impl Default for AmgOptions {
     }
 }
 
-/// One SOR sweep `x ← (1−ω)·x + ω·D⁻¹·(b − (L+U)·x)` in ascending
-/// (`forward`) or descending row order, reading already-updated entries
-/// (Gauss–Seidel style).
-fn sor_sweep(a: &Csr, inv_diag: &[f64], b: &[f64], x: &mut [f64], omega: f64, forward: bool) {
+/// Row order of one SOR sweep, and which entries of `x` it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sweep {
+    /// Ascending rows over an `x` that is zero on entry. Row `i` reads only
+    /// its strictly lower part, the entries this sweep has already updated:
+    /// the upper part would subtract `v·0`. The `(1−ω)·x` term is kept, so
+    /// the result is bit-identical to [`Sweep::Forward`] on a zeroed `x`
+    /// whenever `b` holds no `-0.0` (otherwise the two can differ only in
+    /// the sign of an exact zero).
+    FromZero,
+    /// Ascending rows, reading every off-diagonal entry.
+    Forward,
+    /// Descending rows, reading every off-diagonal entry.
+    Backward,
+}
+
+impl Sweep {
+    /// Sweep `index` of a pre- (`pre = true`, forward from the zero `x` the
+    /// V-cycle starts each level with) or post-smoothing (backward) phase.
+    fn of_phase(pre: bool, index: usize) -> Self {
+        match (pre, index) {
+            (true, 0) => Sweep::FromZero,
+            (true, _) => Sweep::Forward,
+            (false, _) => Sweep::Backward,
+        }
+    }
+}
+
+/// The diagonal of a level's operator as the smoother reads it: each row's
+/// diagonal slot, fixed at symbolic setup (the pattern is frozen, so it
+/// stays valid across [`AmgPrecond::refresh`]), and the reciprocal values,
+/// refreshed with the matrix.
+#[derive(Debug, Clone)]
+struct Diagonal {
+    /// Position of row `i`'s diagonal within the row: `cols[slot[i]] == i`
+    /// for `(cols, _) = a.row(i)`.
+    slot: Vec<usize>,
+    /// Reciprocal diagonal `1/a_ii`.
+    inv: Vec<f64>,
+}
+
+impl Diagonal {
+    /// Symbolic setup: locates every row's diagonal slot of `a`; the
+    /// reciprocals are left zeroed for [`Diagonal::refresh`].
+    ///
+    /// # Errors
+    ///
+    /// [`NumericsError::FactorizationFailed`] at the first row without a
+    /// stored diagonal (a zero pivot).
+    fn new(a: &Csr) -> Result<Self, NumericsError> {
+        let slot = (0..a.n_rows())
+            .map(|i| {
+                a.row(i)
+                    .0
+                    .binary_search(&i)
+                    .map_err(|_| NumericsError::FactorizationFailed {
+                        kind: "amg",
+                        index: i,
+                    })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Diagonal {
+            inv: vec![0.0; slot.len()],
+            slot,
+        })
+    }
+
+    /// The diagonal value `a_ii` at row `i`'s slot.
+    fn value(&self, a: &Csr, i: usize) -> f64 {
+        a.row(i).1[self.slot[i]]
+    }
+
+    /// Numeric phase: re-reads the reciprocals from the values of `a`, whose
+    /// pattern is the one [`Diagonal::new`] saw. Allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericsError::FactorizationFailed`] at the first non-positive or
+    /// non-finite diagonal.
+    fn refresh(&mut self, a: &Csr) -> Result<(), NumericsError> {
+        for i in 0..self.slot.len() {
+            let d = self.value(a, i);
+            if d <= 0.0 || !d.is_finite() {
+                return Err(NumericsError::FactorizationFailed {
+                    kind: "amg",
+                    index: i,
+                });
+            }
+            self.inv[i] = 1.0 / d;
+        }
+        Ok(())
+    }
+}
+
+/// One SOR sweep `x ← (1−ω)·x + ω·D⁻¹·(b − (L+U)·x)` in the row order of
+/// `sweep`, reading already-updated entries (Gauss–Seidel style). Each row
+/// is split at its diagonal slot ([`Diagonal::slot`]): the strictly
+/// lower part, then (unless [`Sweep::FromZero`]) the strictly upper part.
+/// The columns are sorted, so the subtraction order is the row's.
+fn sor_sweep(a: &Csr, diag: &Diagonal, b: &[f64], x: &mut [f64], omega: f64, sweep: Sweep) {
     let n = x.len();
-    let update = |x: &mut [f64], i: usize| {
+    let update = |x: &mut [f64], i: usize, upper: bool| {
         let (cols, vals) = a.row(i);
+        let d = diag.slot[i];
         let mut s = b[i];
-        for (&j, &v) in cols.iter().zip(vals) {
-            if j != i {
+        for (&j, &v) in cols[..d].iter().zip(&vals[..d]) {
+            s -= v * x[j];
+        }
+        if upper {
+            for (&j, &v) in cols[d + 1..].iter().zip(&vals[d + 1..]) {
                 s -= v * x[j];
             }
         }
-        x[i] = (1.0 - omega) * x[i] + omega * s * inv_diag[i];
+        x[i] = (1.0 - omega) * x[i] + omega * s * diag.inv[i];
     };
-    if forward {
-        for i in 0..n {
-            update(x, i);
-        }
-    } else {
-        for i in (0..n).rev() {
-            update(x, i);
+    match sweep {
+        Sweep::FromZero => (0..n).for_each(|i| update(x, i, false)),
+        Sweep::Forward => (0..n).for_each(|i| update(x, i, true)),
+        Sweep::Backward => (0..n).rev().for_each(|i| update(x, i, true)),
+    }
+}
+
+/// `acc ← acc − Σ v·x[j]` over the row entries `(cols, vals)`, where
+/// `x[j]` is row `j` (a `k`-slice) of the row-interleaved panel `xs`.
+#[inline]
+fn sub_rows(acc: &mut [f64], xs: &[f64], cols: &[usize], vals: &[f64]) {
+    let k = acc.len();
+    for (&j, &v) in cols.iter().zip(vals) {
+        let xj = &xs[j * k..j * k + k];
+        for (sv, xv) in acc.iter_mut().zip(xj) {
+            *sv -= v * xv;
         }
     }
 }
@@ -163,15 +268,15 @@ fn sor_sweep(a: &Csr, inv_diag: &[f64], b: &[f64], x: &mut [f64], omega: f64, fo
 /// accumulator row (any panel of the same shape; its prior contents are
 /// irrelevant and it is left dirty). The scalar per-column update
 /// expression is preserved exactly — column `j` is bit-identical to
-/// `sor_sweep(a, inv_diag, b.col(j), x.col(j), omega, forward)`.
+/// `sor_sweep(a, diag, b.col(j), x.col(j), omega, sweep)`.
 fn sor_sweep_block(
     a: &Csr,
-    inv_diag: &[f64],
+    diag: &Diagonal,
     b: &MultiVec,
     x: &mut MultiVec,
     scratch: &mut MultiVec,
     omega: f64,
-    forward: bool,
+    sweep: Sweep,
 ) {
     let n = x.n_rows();
     let k = x.n_cols();
@@ -182,31 +287,23 @@ fn sor_sweep_block(
     debug_assert_eq!(b.n_cols(), k);
     debug_assert!(scratch.n_rows() >= 1 && scratch.n_cols() == k);
     let srow = scratch.row_mut(0);
-    let mut update = |x: &mut MultiVec, i: usize| {
+    let mut update = |x: &mut MultiVec, i: usize, upper: bool| {
         let (cols, vals) = a.row(i);
+        let d = diag.slot[i];
         srow.copy_from_slice(b.row(i));
-        let xs = x.as_slice();
-        for (&j, &v) in cols.iter().zip(vals) {
-            if j != i {
-                let xj = &xs[j * k..j * k + k];
-                for (sv, xv) in srow.iter_mut().zip(xj) {
-                    *sv -= v * xv;
-                }
-            }
+        sub_rows(srow, x.as_slice(), &cols[..d], &vals[..d]);
+        if upper {
+            sub_rows(srow, x.as_slice(), &cols[d + 1..], &vals[d + 1..]);
         }
-        let d = inv_diag[i];
+        let di = diag.inv[i];
         for (xv, &sv) in x.row_mut(i).iter_mut().zip(srow.iter()) {
-            *xv = (1.0 - omega) * *xv + omega * sv * d;
+            *xv = (1.0 - omega) * *xv + omega * sv * di;
         }
     };
-    if forward {
-        for i in 0..n {
-            update(x, i);
-        }
-    } else {
-        for i in (0..n).rev() {
-            update(x, i);
-        }
+    match sweep {
+        Sweep::FromZero => (0..n).for_each(|i| update(x, i, false)),
+        Sweep::Forward => (0..n).for_each(|i| update(x, i, true)),
+        Sweep::Backward => (0..n).rev().for_each(|i| update(x, i, true)),
     }
 }
 
@@ -289,10 +386,8 @@ enum Coarsest {
     /// strongly diagonally dominant levels that are too big for a dense
     /// factor yet need no hierarchy (SGS from a zero guess is an SPD
     /// operation, so the whole V-cycle stays CG-compatible).
-    SymmetricGs {
-        /// Reciprocal diagonal of the coarsest operator.
-        inv_diag: Vec<f64>,
-    },
+    /// The payload is the coarsest operator's diagonal.
+    SymmetricGs(Diagonal),
 }
 
 /// One multigrid level: the operator, the frozen transfer skeletons and the
@@ -301,8 +396,8 @@ enum Coarsest {
 struct Level {
     /// Operator at this level (owned; values refreshed in place).
     a: Csr,
-    /// Reciprocal diagonal of `a`.
-    inv_diag: Vec<f64>,
+    /// Diagonal slots (frozen) and reciprocals (refreshed) of `a`.
+    diag: Diagonal,
     /// Strength-filtered operator: strong entries + diagonal, weak entries
     /// lumped onto the diagonal. Pattern frozen at setup.
     filtered: Csr,
@@ -331,7 +426,7 @@ struct LevelScratch {
     x: Vec<f64>,
     /// Right-hand side at this level.
     b: Vec<f64>,
-    /// Residual / Jacobi spmv scratch.
+    /// Residual.
     res: Vec<f64>,
     /// Prolongated-correction scratch.
     tmp: Vec<f64>,
@@ -357,7 +452,8 @@ struct BlockLevelScratch {
     x: MultiVec,
     /// Right-hand-side panel at this level.
     b: MultiVec,
-    /// Residual / Jacobi spmm scratch panel.
+    /// Residual panel; its first row doubles as the smoother's
+    /// accumulator.
     res: MultiVec,
     /// Prolongated-correction scratch panel.
     tmp: MultiVec,
@@ -434,7 +530,7 @@ impl AmgPrecond {
     ///
     /// Returns [`NumericsError::InvalidArgument`] for a non-square matrix
     /// or invalid smoother parameters (SOR relaxation outside `(0, 2)`,
-    /// non-positive Jacobi damping, zero sweeps), and
+    /// zero sweeps), and
     /// [`NumericsError::FactorizationFailed`] for a non-positive diagonal
     /// or a coarse factorization breakdown (matrix not SPD).
     pub fn new(a: &Csr, options: AmgOptions) -> Result<Self, NumericsError> {
@@ -448,23 +544,12 @@ impl AmgPrecond {
                 "amg: dimension exceeds u32 aggregate index range".into(),
             ));
         }
-        match options.smoother {
-            AmgSmoother::Jacobi { omega, sweeps } => {
-                if !(omega > 0.0 && omega.is_finite()) || sweeps == 0 {
-                    return Err(NumericsError::InvalidArgument(format!(
-                        "amg: jacobi smoother needs omega > 0 and sweeps > 0, \
-                         got omega {omega}, sweeps {sweeps}"
-                    )));
-                }
-            }
-            AmgSmoother::Ssor { omega, sweeps } => {
-                if !(0.0..2.0).contains(&omega) || omega == 0.0 || sweeps == 0 {
-                    return Err(NumericsError::InvalidArgument(format!(
-                        "amg: sor smoother needs omega in (0, 2) and sweeps > 0, \
-                         got omega {omega}, sweeps {sweeps}"
-                    )));
-                }
-            }
+        let AmgSmoother::Ssor { omega, sweeps } = options.smoother;
+        if !(0.0..2.0).contains(&omega) || omega == 0.0 || sweeps == 0 {
+            return Err(NumericsError::InvalidArgument(format!(
+                "amg: sor smoother needs omega in (0, 2) and sweeps > 0, \
+                 got omega {omega}, sweeps {sweeps}"
+            )));
         }
         let mut levels: Vec<Level> = Vec::new();
         let mut current = a.clone();
@@ -491,9 +576,7 @@ impl AmgPrecond {
         let mut coarse = if current.n_rows() <= options.coarse_max.saturating_mul(8) {
             Coarsest::Direct(DenseCholesky::new(current.n_rows()))
         } else {
-            Coarsest::SymmetricGs {
-                inv_diag: vec![0.0; current.n_rows()],
-            }
+            Coarsest::SymmetricGs(Diagonal::new(&current)?)
         };
         Self::refresh_coarsest(&mut coarse, &current)?;
         Ok(AmgPrecond {
@@ -547,19 +630,7 @@ impl AmgPrecond {
     fn refresh_coarsest(coarse: &mut Coarsest, a: &Csr) -> Result<(), NumericsError> {
         match coarse {
             Coarsest::Direct(f) => f.factor(a),
-            Coarsest::SymmetricGs { inv_diag } => {
-                for i in 0..a.n_rows() {
-                    let d = a.get(i, i);
-                    if d <= 0.0 || !d.is_finite() {
-                        return Err(NumericsError::FactorizationFailed {
-                            kind: "amg",
-                            index: i,
-                        });
-                    }
-                    inv_diag[i] = 1.0 / d;
-                }
-                Ok(())
-            }
+            Coarsest::SymmetricGs(diag) => diag.refresh(a),
         }
     }
 
@@ -616,10 +687,11 @@ impl AmgPrecond {
                     sl.x.copy_from_slice(&sl.b);
                     f.solve_in_place(&mut sl.x);
                 }
-                Coarsest::SymmetricGs { inv_diag } => {
+                Coarsest::SymmetricGs(diag) => {
                     sl.x.fill(0.0);
-                    sor_sweep(&self.coarse_a, inv_diag, &sl.b, &mut sl.x, 1.0, true);
-                    sor_sweep(&self.coarse_a, inv_diag, &sl.b, &mut sl.x, 1.0, false);
+                    let (a, b, x) = (&self.coarse_a, &sl.b, &mut sl.x);
+                    sor_sweep(a, diag, b, x, 1.0, Sweep::FromZero);
+                    sor_sweep(a, diag, b, x, 1.0, Sweep::Backward);
                 }
             }
             return;
@@ -628,7 +700,7 @@ impl AmgPrecond {
         {
             let sl = &mut s[l];
             sl.x.fill(0.0);
-            level.smooth(&self.options, &sl.b, &mut sl.x, &mut sl.res, true);
+            level.smooth(&self.options, &sl.b, &mut sl.x, true);
             // res ← b − A·x
             level.a.spmv(&sl.x, &mut sl.res);
             for (ri, bi) in sl.res.iter_mut().zip(&sl.b) {
@@ -650,7 +722,7 @@ impl AmgPrecond {
             for (xi, ti) in sl.x.iter_mut().zip(&sl.tmp) {
                 *xi += ti;
             }
-            level.smooth(&self.options, &sl.b, &mut sl.x, &mut sl.res, false);
+            level.smooth(&self.options, &sl.b, &mut sl.x, false);
         }
     }
 
@@ -672,11 +744,11 @@ impl AmgPrecond {
                         sl.x.copy_col_from(j, &sl.col);
                     }
                 }
-                Coarsest::SymmetricGs { inv_diag } => {
+                Coarsest::SymmetricGs(diag) => {
                     sl.x.fill(0.0);
-                    let (b, x, sc) = (&sl.b, &mut sl.x, &mut sl.res);
-                    sor_sweep_block(&self.coarse_a, inv_diag, b, x, sc, 1.0, true);
-                    sor_sweep_block(&self.coarse_a, inv_diag, b, x, sc, 1.0, false);
+                    let (a, b, x, sc) = (&self.coarse_a, &sl.b, &mut sl.x, &mut sl.res);
+                    sor_sweep_block(a, diag, b, x, sc, 1.0, Sweep::FromZero);
+                    sor_sweep_block(a, diag, b, x, sc, 1.0, Sweep::Backward);
                 }
             }
             return;
@@ -757,7 +829,8 @@ impl Level {
         // Galerkin operators have wider stencils with individually weaker
         // entries; halving θ per level (Vaněk's rule) keeps them coarsening.
         let theta = options.strength_theta * 0.5f64.powi(level_index as i32);
-        let diag: Vec<f64> = (0..n).map(|i| a.get(i, i)).collect();
+        let smoother_diag = Diagonal::new(a)?;
+        let diag: Vec<f64> = (0..n).map(|i| smoother_diag.value(a, i)).collect();
         for (i, &d) in diag.iter().enumerate() {
             if d <= 0.0 || !d.is_finite() {
                 return Err(NumericsError::FactorizationFailed {
@@ -925,7 +998,7 @@ impl Level {
 
         let level = Level {
             a: a.clone(),
-            inv_diag: vec![0.0; n],
+            diag: smoother_diag,
             filtered,
             n_coarse,
             p,
@@ -943,16 +1016,7 @@ impl Level {
     /// Galerkin product written into `next_a`. Allocation-free.
     fn numeric(&mut self, options: &AmgOptions, next_a: &mut Csr) -> Result<(), NumericsError> {
         let n = self.a.n_rows();
-        for i in 0..n {
-            let d = self.a.get(i, i);
-            if d <= 0.0 || !d.is_finite() {
-                return Err(NumericsError::FactorizationFailed {
-                    kind: "amg",
-                    index: i,
-                });
-            }
-            self.inv_diag[i] = 1.0 / d;
-        }
+        self.diag.refresh(&self.a)?;
         // Filtered values: copy entries present in the frozen strong
         // pattern, lump the rest onto the diagonal (preserves row sums, so
         // the smoothed basis still reproduces constants). The filtered
@@ -983,7 +1047,7 @@ impl Level {
         for i in 0..n {
             let (_, fvals) = self.filtered.row(i);
             let row_sum: f64 = fvals.iter().map(|v| v.abs()).sum();
-            lambda_hat = lambda_hat.max(self.inv_diag[i] * row_sum);
+            lambda_hat = lambda_hat.max(self.diag.inv[i] * row_sum);
         }
         let omega = if lambda_hat > 0.0 {
             options.prolongation_damping / lambda_hat
@@ -997,7 +1061,7 @@ impl Level {
             let pvals = self.p.values_mut();
             let mut k = 0usize;
             for i in 0..n {
-                let wi = omega * self.inv_diag[i];
+                let wi = omega * self.diag.inv[i];
                 let (fcols, fvals) = self.filtered.row(i);
                 for (&j, &fv) in fcols.iter().zip(fvals) {
                     let val = if j == i { 1.0 - wi * fv } else { -wi * fv };
@@ -1047,68 +1111,31 @@ impl Level {
         Ok(())
     }
 
-    /// One pre- (`forward = true`) or post-smoothing phase on this level.
-    /// `spmv` is Jacobi scratch of the same length as `x`.
-    fn smooth(
-        &self,
-        options: &AmgOptions,
-        b: &[f64],
-        x: &mut [f64],
-        spmv: &mut [f64],
-        forward: bool,
-    ) {
-        match options.smoother {
-            AmgSmoother::Jacobi { omega, sweeps } => {
-                for _ in 0..sweeps {
-                    self.a.spmv(x, spmv);
-                    for i in 0..x.len() {
-                        x[i] += omega * self.inv_diag[i] * (b[i] - spmv[i]);
-                    }
-                }
-            }
-            AmgSmoother::Ssor { omega, sweeps } => {
-                for _ in 0..sweeps {
-                    sor_sweep(&self.a, &self.inv_diag, b, x, omega, forward);
-                }
-            }
+    /// One pre- (`pre = true`: forward sweeps over the `x` the V-cycle has
+    /// just zeroed) or post-smoothing (backward sweeps) phase on this level.
+    fn smooth(&self, options: &AmgOptions, b: &[f64], x: &mut [f64], pre: bool) {
+        let AmgSmoother::Ssor { omega, sweeps } = options.smoother;
+        for index in 0..sweeps {
+            let sweep = Sweep::of_phase(pre, index);
+            sor_sweep(&self.a, &self.diag, b, x, omega, sweep);
         }
     }
 
     /// Batched mirror of [`Level::smooth`] over `n × k` panels; each column
-    /// runs the scalar sweep's floating-point sequence exactly.
+    /// runs the scalar sweep's floating-point sequence exactly. `scratch`
+    /// lends the sweep its accumulator row.
     fn smooth_block(
         &self,
         options: &AmgOptions,
         b: &MultiVec,
         x: &mut MultiVec,
-        spmm: &mut MultiVec,
-        forward: bool,
+        scratch: &mut MultiVec,
+        pre: bool,
     ) {
-        let k = x.n_cols();
-        if k == 0 {
-            return;
-        }
-        match options.smoother {
-            AmgSmoother::Jacobi { omega, sweeps } => {
-                for _ in 0..sweeps {
-                    self.a.spmm_into(x, spmm);
-                    for ((xrow, (brow, srow)), &d) in x
-                        .as_mut_slice()
-                        .chunks_exact_mut(k)
-                        .zip(b.as_slice().chunks_exact(k).zip(spmm.as_slice().chunks_exact(k)))
-                        .zip(&self.inv_diag)
-                    {
-                        for (xv, (bv, sv)) in xrow.iter_mut().zip(brow.iter().zip(srow)) {
-                            *xv += omega * d * (bv - sv);
-                        }
-                    }
-                }
-            }
-            AmgSmoother::Ssor { omega, sweeps } => {
-                for _ in 0..sweeps {
-                    sor_sweep_block(&self.a, &self.inv_diag, b, x, spmm, omega, forward);
-                }
-            }
+        let AmgSmoother::Ssor { omega, sweeps } = options.smoother;
+        for index in 0..sweeps {
+            let sweep = Sweep::of_phase(pre, index);
+            sor_sweep_block(&self.a, &self.diag, b, x, scratch, omega, sweep);
         }
     }
 }
@@ -1210,10 +1237,6 @@ mod tests {
         let a = lap3d(6, 0.3);
         let n = a.n_rows();
         for smoother in [
-            AmgSmoother::Jacobi {
-                omega: 2.0 / 3.0,
-                sweeps: 1,
-            },
             AmgSmoother::Ssor {
                 omega: 1.0,
                 sweeps: 1,
@@ -1291,16 +1314,17 @@ mod tests {
 
     #[test]
     fn apply_block_is_bit_identical_to_scalar_apply() {
-        // Both smoothers, narrow and wide interleaved panels including an
-        // odd width.
+        // One sweep per phase, and two over-relaxed ones (a from-zero
+        // sweep followed by a full sweep); narrow and wide interleaved
+        // panels including an odd width.
         let a = lap3d(11, 0.1);
         let n = a.n_rows();
         for opts in [
             AmgOptions::default(),
             AmgOptions {
-                smoother: AmgSmoother::Jacobi {
-                    omega: 0.7,
-                    sweeps: 1,
+                smoother: AmgSmoother::Ssor {
+                    omega: 1.3,
+                    sweeps: 2,
                 },
                 ..AmgOptions::default()
             },
@@ -1321,6 +1345,69 @@ mod tests {
                     m.apply(&r.col_vec(j), &mut z_ref);
                     assert_eq!(z.col_vec(j), z_ref, "k = {k}, column {j}");
                 }
+            }
+        }
+    }
+
+    /// A symmetric matrix whose off-diagonals take both signs (positive
+    /// on every third link of the 3-D stencil), diagonally dominant.
+    fn mixed_sign(nx: usize) -> Csr {
+        let pattern = lap3d(nx, 0.0);
+        let n = pattern.n_rows();
+        let mut coo = Coo::new(n, n);
+        for i in 0..n {
+            let (cols, _) = pattern.row(i);
+            for &j in cols {
+                let v = if j == i {
+                    7.5
+                } else if (i + j) % 3 == 0 {
+                    0.5
+                } else {
+                    -1.0
+                };
+                coo.push(i, j, v);
+            }
+        }
+        Csr::from_coo(&coo)
+    }
+
+    #[test]
+    fn from_zero_sweep_equals_full_sweep() {
+        // The first pre-smoothing sweep skips the strictly upper part of
+        // each row, whose entries of the zeroed x are still 0. It must give
+        // the bits of a full forward sweep over that zeroed x, scalar and
+        // panel alike. The right-hand side has no exact zeros.
+        for a in [lap3d(5, 0.3), mixed_sign(5)] {
+            let n = a.n_rows();
+            let mut diag = Diagonal::new(&a).unwrap();
+            diag.refresh(&a).unwrap();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) - 6.5).collect();
+            for omega in [1.0, 1.3] {
+                let mut full = vec![0.0; n];
+                sor_sweep(&a, &diag, &b, &mut full, omega, Sweep::Forward);
+                let mut lower = vec![0.0; n];
+                sor_sweep(&a, &diag, &b, &mut lower, omega, Sweep::FromZero);
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&lower), bits(&full), "scalar, omega {omega}");
+
+                let k = 3;
+                let mut bp = MultiVec::zeros(n, k);
+                for j in 0..k {
+                    for i in 0..n {
+                        bp.set(i, j, b[i] * (j + 1) as f64);
+                    }
+                }
+                let mut scratch = MultiVec::zeros(1, k);
+                let mut full = MultiVec::zeros(n, k);
+                sor_sweep_block(&a, &diag, &bp, &mut full, &mut scratch, omega, Sweep::Forward);
+                let mut lower = MultiVec::zeros(n, k);
+                let sweep = Sweep::FromZero;
+                sor_sweep_block(&a, &diag, &bp, &mut lower, &mut scratch, omega, sweep);
+                assert_eq!(
+                    bits(lower.as_slice()),
+                    bits(full.as_slice()),
+                    "block, omega {omega}"
+                );
             }
         }
     }
@@ -1405,9 +1492,6 @@ mod tests {
             AmgSmoother::Ssor { omega: 0.0, sweeps: 1 },
             AmgSmoother::Ssor { omega: 2.0, sweeps: 1 },
             AmgSmoother::Ssor { omega: 1.0, sweeps: 0 },
-            AmgSmoother::Jacobi { omega: 0.0, sweeps: 1 },
-            AmgSmoother::Jacobi { omega: f64::NAN, sweeps: 1 },
-            AmgSmoother::Jacobi { omega: 0.7, sweeps: 0 },
         ] {
             let opts = AmgOptions { smoother, ..AmgOptions::default() };
             assert!(
