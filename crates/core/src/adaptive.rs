@@ -83,7 +83,8 @@ impl Session {
         }
         // Same run-start invalidation as the fixed-step path: without it, a
         // reused session whose previous run ended on `dt_init`-sized steps
-        // would extrapolate its first CG guess across runs.
+        // would start its first Picard iterate from a step predictor
+        // extrapolated across runs.
         self.begin_transient_run();
         let compiled = Arc::clone(self.compiled());
         let layout = compiled.layout();
@@ -268,8 +269,8 @@ mod tests {
         // extrapolation history like the fixed-step path does. Trigger: a
         // fixed-step run leaves (t_hist, last_dt = 0.5) behind; an adaptive
         // run starting with dt_init = 0.5 on the same session would
-        // otherwise extrapolate its first CG guess from the previous run's
-        // final step.
+        // otherwise start its first Picard iterate from a predictor
+        // extrapolated from the previous run's final step.
         // A driven block with one wire, so the run has a temperature
         // observable that is sensitive to the CG initial guess at the
         // solver-tolerance level.

@@ -1215,14 +1215,21 @@ mod tests {
     /// leaves no trace. That solve ran at a relative tolerance of at most
     /// `max(picard_tol, tol_rel)`, and every entry of the right-hand side
     /// `b = c∘T_n/Δt + q + hA·T_amb` is non-negative, so
-    /// `Δt·|Σ rᵢ| ≤ Δt·√n·‖r‖₂ ≤ √n · tol · Δt·Σ bᵢ`.
+    /// `Δt·|Σ rᵢ| ≤ Δt·√n·‖r‖₂ ≤ √n · tol · Δt·Σ bᵢ`. The bound holds on
+    /// the IC path with and without inexact Picard, and on the AMG path of
+    /// `uq()`, however few iterates the step predictor leaves.
     #[test]
     fn transient_steps_balance_energy() {
-        for picard_forcing in [false, true] {
-            let options = SolverOptions {
-                picard_forcing,
-                ..SolverOptions::default()
-            };
+        let profiles = [
+            SolverOptions::default(),
+            forced(SolverOptions::default()),
+            SolverOptions::uq(),
+        ];
+        for options in profiles {
+            let profile = format!(
+                "{:?}, forcing {}",
+                options.preconditioner, options.picard_forcing
+            );
             let tol = options.picard_tol.max(options.linear.tol_rel);
             let mut session = wire_session(options);
             let compiled = Arc::clone(session.compiled());
@@ -1251,10 +1258,13 @@ mod tests {
                 let residual = stored - supplied;
                 assert!(
                     residual.abs() <= bound,
-                    "forcing {picard_forcing}, step {step}: stored {stored} J, \
+                    "{profile}, step {step}: stored {stored} J, \
                      supplied {supplied} J, bound {bound} J"
                 );
-                assert!(stored > 1e3 * bound, "step {step} stores too little to test");
+                assert!(
+                    stored > 1e3 * bound,
+                    "{profile}, step {step} stores too little to test"
+                );
                 t = r.temperature;
             }
         }

@@ -34,6 +34,13 @@
 //! ensemble runs `k = batch_width` members, whose linear solves of each
 //! Picard iterate are fused into one block solve, and redoes a failing
 //! panel step member by member at `k = 1`.
+//!
+//! Every continuation step of a transient starts its Picard loop from the
+//! step predictor `2·Tₙ − Tₙ₋₁`, valid while `dt` is unchanged: the first
+//! iterate already evaluates σ(T), λ(T) and the wire Joule heat near the
+//! new time level, so the loop needs fewer iterates to contract. The first
+//! step of a run, a step after a `dt` change and a stationary solve start
+//! from the old temperature.
 
 use crate::assembly::{self, CoeffBufs};
 use crate::compiled::CompiledModel;
@@ -269,15 +276,14 @@ struct Scratch {
     x_red: Vec<f64>,
     /// Joule power per wire (W), refreshed every heat-source evaluation.
     wire_powers: Vec<f64>,
-    /// Lagged Picard temperature (full numbering).
+    /// Lagged Picard temperature (full numbering). A continuation step
+    /// starts it at the step predictor `2·t_prev − t_hist`, any other
+    /// coupled solve at `t_prev`.
     t_star: Vec<f64>,
     /// Next Picard temperature (full numbering).
     t_new: Vec<f64>,
-    /// Start state of the previous transient step (for the extrapolated CG
-    /// initial guess of the first thermal solve of a step).
+    /// Start state of the previous transient step (for the step predictor).
     t_hist: Vec<f64>,
-    /// Extrapolated CG initial guess `2·t_prev − t_hist`.
-    t_guess: Vec<f64>,
     /// Step size of the previous transient step (predictor validity check).
     last_dt: f64,
 }
@@ -1065,7 +1071,6 @@ impl Session {
         &mut self,
         t_prev: &[f64],
         dt: Option<f64>,
-        use_predictor: bool,
         step_index: usize,
         picard_k: usize,
     ) {
@@ -1104,16 +1109,12 @@ impl Session {
         // Compile the pattern on the first round and validate the stamping
         // sequence; the solve re-reads the system via `assembled()`.
         let _ = stamper.finish();
-        // CG initial guess: the lagged temperature, or — for the first
-        // Picard iterate of a continuation step — the linear extrapolation
-        // from the previous step. Warm mode improves on both with the
-        // previous run's increment at the same position. A guess only
-        // affects iteration counts, never the converged solution.
-        if use_predictor {
-            therm_map.restrict_into(&scratch.t_guess, &mut scratch.x_red);
-        } else {
-            therm_map.restrict_into(&scratch.t_star, &mut scratch.x_red);
-        }
+        // CG initial guess: the lagged temperature, which on the first
+        // Picard iterate of a continuation step is the step predictor.
+        // Warm mode improves on it with the previous run's increment at
+        // the same position. A guess only affects iteration counts, never
+        // the converged solution.
+        therm_map.restrict_into(&scratch.t_star, &mut scratch.x_red);
         let transient = dt.is_some();
         if transient && warm.enabled && step_index >= 1 {
             let prev_sk = warm
@@ -1179,21 +1180,21 @@ impl Session {
         compiled.therm_map().expand_into(&scratch.x_red, &mut scratch.t_new);
     }
 
-    /// Seeds the Picard state for one coupled solve: `t_star ← t_prev` and,
-    /// for a continuation step with an unchanged `dt`, the extrapolated
-    /// first-iterate thermal guess `t_guess ← 2·t_prev − t_hist`. Returns
-    /// whether the predictor is valid.
-    fn begin_coupled(&mut self, t_prev: &[f64], dt: Option<f64>) -> bool {
+    /// Seeds the Picard state for one coupled solve. A continuation step
+    /// with an unchanged `dt` starts from the step predictor,
+    /// `t_star ← 2·t_prev − t_hist`: the first iterate then evaluates σ, λ
+    /// and the wire heat at the predicted temperature, and its thermal solve
+    /// starts there. Every other solve (the first step of a run, a changed
+    /// `dt`, a stationary solve) starts from `t_star ← t_prev`.
+    fn begin_coupled(&mut self, t_prev: &[f64], dt: Option<f64>) {
         let s = &mut self.scratch;
         s.t_star.clear();
-        s.t_star.extend_from_slice(t_prev);
-        let predict = dt.is_some_and(|d| s.t_hist.len() == t_prev.len() && s.last_dt == d);
-        if predict {
-            s.t_guess.clear();
-            s.t_guess
+        if dt.is_some_and(|d| s.t_hist.len() == t_prev.len() && s.last_dt == d) {
+            s.t_star
                 .extend(t_prev.iter().zip(&s.t_hist).map(|(&a, &b)| 2.0 * a - b));
+        } else {
+            s.t_star.extend_from_slice(t_prev);
         }
-        predict
     }
 
     /// Completes one Picard iterate: the relative update between the new
@@ -1206,7 +1207,7 @@ impl Session {
     }
 
     /// Records the step-start state and step size that validate the next
-    /// step's extrapolated thermal guess (transient only).
+    /// step's predictor (transient only).
     fn record_step_history(&mut self, t_prev: &[f64], dt: Option<f64>) {
         if let Some(d) = dt {
             let s = &mut self.scratch;
@@ -1651,10 +1652,9 @@ fn coupled_solve(
     let k = members.len();
     let compiled = Arc::clone(&members[0].compiled);
     let options = compiled.options();
-    let mut predict = Vec::with_capacity(k);
     for (m, t) in members.iter_mut().zip(t_prev) {
         assert_eq!(t.len(), compiled.layout().n_total(), "state length");
-        predict.push(m.begin_coupled(t, dt));
+        m.begin_coupled(t, dt);
     }
     let thermal = if dt.is_some() {
         Subsystem::ThermalTransient
@@ -1693,7 +1693,7 @@ fn coupled_solve(
         }
         for (j, m) in members.iter_mut().enumerate() {
             field_power[j] = m.heat_sources(phis[j]);
-            m.assemble_thermal(t_prev[j], dt, predict[j] && pk == 1, step_index, pk);
+            m.assemble_thermal(t_prev[j], dt, step_index, pk);
         }
         if k > 1 {
             panel.transplant(members, step_index, pk);
