@@ -1366,6 +1366,11 @@ impl Panel {
     /// member gains the increment the member's previous step took at the
     /// same position. A guess never changes a converged answer, and the
     /// state never leaves the group, so worker-count bit-identity holds.
+    /// [`coupled_solve`] transplants only into iterates solved at
+    /// `max(picard_tol, tol_rel)` or tighter: a loose solve under
+    /// [`SolverOptions::picard_forcing`] stops near its guess, so the
+    /// transplanted increment's error would show up as a Picard update and
+    /// cost the step an iterate.
     fn transplant(&self, members: &mut [Session], step: usize, pk: usize) {
         if step < 2 || pk < 2 {
             return;
@@ -1695,14 +1700,15 @@ fn coupled_solve(
             field_power[j] = m.heat_sources(phis[j]);
             m.assemble_thermal(t_prev[j], dt, step_index, pk);
         }
-        if k > 1 {
-            panel.transplant(members, step_index, pk);
-        }
         if forcing {
             thermal_tol = forcing_tolerance(options, pk, u1, u2);
         }
+        let tight = thermal_tol <= options.picard_tol.max(tol_rel);
+        if k > 1 && tight {
+            panel.transplant(members, step_index, pk);
+        }
         solve_panel(members, thermal, panel, &mut linear, thermal_tol)?;
-        let mut met = thermal_tol <= options.picard_tol.max(tol_rel);
+        let mut met = tight;
         for (j, m) in members.iter_mut().enumerate() {
             m.accept_thermal(dt, step_index);
             let u = m.picard_update_and_swap();

@@ -2,12 +2,13 @@
 //! package → synthetic X-ray → distribution fit → Monte Carlo → Fig. 7
 //! statistics.
 
-use etherm::core::{Scenario, Session, SolverOptions};
+use etherm::core::{run_ensemble_batched, EnsembleOptions, Scenario, Session, SolverOptions};
 use etherm::package::{
     build_model, paper_elongation_distribution, BuildOptions, PackageGeometry, XrayMetrology,
 };
 use etherm::uq::dist::Distribution;
 use etherm::uq::{run_monte_carlo, McOptions, MonteCarloSampler};
+use std::sync::Arc;
 
 fn coarse_options() -> BuildOptions {
     BuildOptions {
@@ -119,7 +120,8 @@ fn step_predictor_saves_picard_iterates() {
     // DoFs). Each continuation step starts its Picard loop from the step
     // predictor 2·Tₙ − Tₙ₋₁, so its first iterate already evaluates σ, λ
     // and the wire heat near the new time level. That takes 44 iterates
-    // under both profiles; starting every step from Tₙ took 52.
+    // under both profiles and in a lock-step panel; starting every step
+    // from Tₙ took 52.
     let built = build_model(
         &PackageGeometry::paper(),
         &BuildOptions {
@@ -137,9 +139,32 @@ fn step_predictor_saves_picard_iterates() {
         let mut session = Session::new(built.compile(options).unwrap());
         let sol = session.run_transient(10.0, 10, &[]).unwrap();
         let picard: usize = sol.picard_iterations.iter().sum();
-        assert!(picard <= 45, "{name}: {picard} Picard iterates over 10 steps");
-        let peak = sol.max_wire_series().into_iter().fold(f64::NEG_INFINITY, f64::max);
-        peaks.push(peak);
+        assert!(
+            picard <= 45,
+            "{name}: {picard} Picard iterates over 10 steps"
+        );
+        let series = sol.max_wire_series();
+        peaks.push(series.into_iter().fold(f64::NEG_INFINITY, f64::max));
+    }
+    // A panel of two samples under `uq()` steps in lock step. Its
+    // step-increment transplant skips the loose early iterates, whose
+    // solves would stop near the transplanted guess and keep its error.
+    let panel = SolverOptions {
+        batch_width: 2,
+        ..SolverOptions::uq()
+    };
+    let compiled = Arc::new(built.compile(panel).unwrap());
+    let scenario = built.elongation_scenario(10.0, 10, |sol| {
+        vec![sol.picard_iterations.iter().sum::<usize>() as f64]
+    });
+    let samples = [vec![0.17; 12], vec![0.25; 12]];
+    let options = EnsembleOptions {
+        n_threads: 1,
+        ..EnsembleOptions::default()
+    };
+    let r = run_ensemble_batched(&compiled, &scenario, &samples, &options).unwrap();
+    for y in &r.outputs {
+        assert!(y[0] <= 45.0, "panel: {} Picard iterates over 10 steps", y[0]);
     }
     // Inexact Picard (`uq`) agrees with the default profile within the
     // Picard tolerance, predictor or not.
