@@ -1382,32 +1382,31 @@ mod tests {
             let mut diag = Diagonal::new(&a).unwrap();
             diag.refresh(&a).unwrap();
             let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) - 6.5).collect();
-            for omega in [1.0, 1.3] {
-                let mut full = vec![0.0; n];
-                sor_sweep(&a, &diag, &b, &mut full, omega, Sweep::Forward);
-                let mut lower = vec![0.0; n];
-                sor_sweep(&a, &diag, &b, &mut lower, omega, Sweep::FromZero);
-                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&lower), bits(&full), "scalar, omega {omega}");
-
-                let k = 3;
-                let mut bp = MultiVec::zeros(n, k);
-                for j in 0..k {
-                    for i in 0..n {
-                        bp.set(i, j, b[i] * (j + 1) as f64);
-                    }
+            let k = 3;
+            let mut bp = MultiVec::zeros(n, k);
+            for j in 0..k {
+                for i in 0..n {
+                    bp.set(i, j, b[i] * (j + 1) as f64);
                 }
+            }
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for omega in [1.0, 1.3] {
+                let scalar = |sweep| {
+                    let mut x = vec![0.0; n];
+                    sor_sweep(&a, &diag, &b, &mut x, omega, sweep);
+                    bits(&x)
+                };
+                let full = scalar(Sweep::Forward);
+                assert_eq!(scalar(Sweep::FromZero), full, "scalar, omega {omega}");
+
                 let mut scratch = MultiVec::zeros(1, k);
-                let mut full = MultiVec::zeros(n, k);
-                sor_sweep_block(&a, &diag, &bp, &mut full, &mut scratch, omega, Sweep::Forward);
-                let mut lower = MultiVec::zeros(n, k);
-                let sweep = Sweep::FromZero;
-                sor_sweep_block(&a, &diag, &bp, &mut lower, &mut scratch, omega, sweep);
-                assert_eq!(
-                    bits(lower.as_slice()),
-                    bits(full.as_slice()),
-                    "block, omega {omega}"
-                );
+                let mut block = |sweep| {
+                    let mut x = MultiVec::zeros(n, k);
+                    sor_sweep_block(&a, &diag, &bp, &mut x, &mut scratch, omega, sweep);
+                    bits(x.as_slice())
+                };
+                let full = block(Sweep::Forward);
+                assert_eq!(block(Sweep::FromZero), full, "block, omega {omega}");
             }
         }
     }
