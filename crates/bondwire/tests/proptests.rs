@@ -136,11 +136,11 @@ proptest! {
         // strictly inside the series. (Damage is linear in a uniform time
         // dilation at fixed per-sample temperatures.)
         let mean_rate = d.rate(base + 0.5 * amplitude);
-        let t_guess = 1.8 / mean_rate;
-        let mut times: Vec<f64> = (0..=n).map(|i| t_guess * i as f64 / n as f64).collect();
+        let horizon = 1.8 / mean_rate;
+        let mut times: Vec<f64> = (0..=n).map(|i| horizon * i as f64 / n as f64).collect();
         let temps: Vec<f64> = times
             .iter()
-            .map(|&t| base + amplitude * (3.0 * t / t_guess).sin().abs())
+            .map(|&t| base + amplitude * (3.0 * t / horizon).sin().abs())
             .collect();
         let raw = d.accumulate(&times, &temps);
         let dilation = 1.8 / raw;
