@@ -74,7 +74,7 @@ fn main() {
         &EnsembleOptions {
             n_threads: threads,
             warm_start: warm,
-            progress: Some(progress),
+            progress: Some(Arc::new(progress)),
             ..EnsembleOptions::default()
         },
     )

@@ -49,7 +49,7 @@ fn main() {
         &EnsembleOptions {
             n_threads: threads,
             warm_start: false,
-            progress: Some(progress),
+            progress: Some(Arc::new(progress)),
             ..EnsembleOptions::default()
         },
     )

@@ -64,6 +64,27 @@ pub trait Scenario: Sync {
     }
 }
 
+/// A borrowed scenario is a scenario, so owners of a scenario (such as
+/// [`crate::FullSolve`]) also accept a reference to one.
+impl<S: Scenario + ?Sized> Scenario for &S {
+    fn apply(&self, session: &mut Session, sample: &[f64]) -> Result<(), CoreError> {
+        (**self).apply(session, sample)
+    }
+
+    fn evaluate(&self, session: &mut Session) -> Result<Vec<f64>, CoreError> {
+        (**self).evaluate(session)
+    }
+
+    fn apply_indexed(
+        &self,
+        session: &mut Session,
+        sample: &[f64],
+        index: usize,
+    ) -> Result<(), CoreError> {
+        (**self).apply_indexed(session, sample, index)
+    }
+}
+
 /// A [`Scenario`] whose evaluation is the standard transient run — the
 /// shape the batched fast path can drive in lock-step across a panel of
 /// samples.
@@ -105,7 +126,7 @@ pub enum FailurePolicy {
 }
 
 /// Options of [`run_ensemble`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone)]
 pub struct EnsembleOptions {
     /// Worker threads (each owns one [`Session`]); samples are split into
     /// contiguous chunks of `ceil(n / n_threads)`.
@@ -118,10 +139,23 @@ pub struct EnsembleOptions {
     pub warm_start: bool,
     /// Serialized progress callback `(samples_done, total)`: called on the
     /// coordinating thread as results are merged in sample order, so
-    /// output never interleaves regardless of `n_threads`.
-    pub progress: Option<fn(usize, usize)>,
+    /// output never interleaves regardless of `n_threads`. A closure, so
+    /// it may carry state (a serving front end sends one frame per merged
+    /// sample through it).
+    pub progress: Option<Arc<dyn Fn(usize, usize) + Send + Sync>>,
     /// What to do when a sample fails (default: abort the run).
     pub failure_policy: FailurePolicy,
+}
+
+impl std::fmt::Debug for EnsembleOptions {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EnsembleOptions")
+            .field("n_threads", &self.n_threads)
+            .field("warm_start", &self.warm_start)
+            .field("progress", &self.progress.is_some())
+            .field("failure_policy", &self.failure_policy)
+            .finish()
+    }
 }
 
 impl Default for EnsembleOptions {
@@ -240,7 +274,7 @@ pub fn run_ensemble_batched<S: BatchScenario>(
     }
     let options = EnsembleOptions {
         warm_start: false,
-        ..*options
+        ..options.clone()
     };
     let (t_end, n_steps) = (scenario.t_end(), scenario.n_steps());
     let run_group = |worker: &mut Worker, first: usize, group: &[Vec<f64>]| {
@@ -284,10 +318,11 @@ impl Worker {
 /// The scheduler behind [`run_ensemble`] and [`run_ensemble_batched`]:
 /// samples are cut into groups of `width` in sample order, the groups into
 /// contiguous chunks of `ceil(groups / n_threads)`, and every worker thread
-/// runs `run_group(worker, first_sample, group)` over its chunk. Outputs
-/// are merged in sample order while the workers run. A failed group
-/// quarantines all its members; the returned [`SampleFailure`] names the
-/// member to blame in [`CoreError::EnsembleFailed`].
+/// runs `run_group(worker, first_sample, group)` over its chunk (a single
+/// chunk runs on the calling thread). Outputs are merged in sample order
+/// while the workers run. A failed group quarantines all its members; the
+/// returned [`SampleFailure`] names the member to blame in
+/// [`CoreError::EnsembleFailed`].
 fn schedule<F>(
     compiled: &Arc<CompiledModel>,
     samples: &[Vec<f64>],
@@ -323,106 +358,128 @@ where
     // independent of the thread count.
     let stop_after = AtomicUsize::new(usize::MAX);
 
-    type Message = (usize, Result<Vec<Vec<f64>>, SampleFailure>);
-    let (tx, rx) = mpsc::channel::<Message>();
-    let run_group = &run_group;
-    let (slots, failures, blamed, counters) = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (c, block) in groups.chunks(chunk).enumerate() {
-            let tx = tx.clone();
-            let stop_after = &stop_after;
-            handles.push(scope.spawn(move || {
-                let mut worker = Worker {
-                    members: (0..width)
-                        .map(|_| Session::new(Arc::clone(compiled)))
-                        .collect(),
-                    panel: Panel::default(),
-                };
-                for m in &mut worker.members {
-                    m.set_warm_start(options.warm_start);
-                }
-                for (gk, group) in block.iter().enumerate() {
-                    let g = c * chunk + gk;
-                    if g > stop_after.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if !options.warm_start {
-                        worker.reset();
-                    }
-                    let result = run_group(&mut worker, g * width, group);
-                    let failed = result.is_err();
-                    if failed {
-                        if max_failures == 0 {
-                            stop_after.fetch_min(g, Ordering::Relaxed);
-                        } else {
-                            // Quarantine: scrub any solver-state
-                            // contamination (NaN-poisoned guesses, degraded
-                            // preconditioners) before the next group.
-                            worker.reset();
-                        }
-                    }
-                    if tx.send((g, result)).is_err() || (failed && max_failures == 0) {
-                        break;
-                    }
-                }
-                let mut counters = SolveCounters::default();
-                for m in &worker.members {
-                    counters.merge(&m.counters());
-                }
-                counters
-            }));
+    type GroupResult = Result<Vec<Vec<f64>>, SampleFailure>;
+    // One worker's pass over chunk `c`: each group's result goes to
+    // `emit`, which answers whether anyone still listens.
+    let run_chunk = |c: usize,
+                     block: &[&[Vec<f64>]],
+                     emit: &mut dyn FnMut(usize, GroupResult) -> bool|
+     -> SolveCounters {
+        let mut worker = Worker {
+            members: (0..width)
+                .map(|_| Session::new(Arc::clone(compiled)))
+                .collect(),
+            panel: Panel::default(),
+        };
+        for m in &mut worker.members {
+            m.set_warm_start(options.warm_start);
         }
-        drop(tx);
-
-        // Merge in sample order *while the workers run*: results stream in
-        // as they complete and the serialized progress callback fires as
-        // the ordered frontier advances. Failed samples count as processed
-        // (their slot is an empty vector) so the frontier never stalls.
-        let mut slots: Vec<Option<Vec<f64>>> = (0..n).map(|_| None).collect();
-        let mut failures: Vec<SampleFailure> = Vec::new();
-        let mut blamed: Vec<SampleFailure> = Vec::new();
-        let mut done = 0usize;
-        for (g, result) in rx {
-            let first = g * width;
-            match result {
-                Ok(ys) => {
-                    for (j, y) in ys.into_iter().enumerate() {
-                        slots[first + j] = Some(y);
-                    }
-                }
-                Err(failure) => {
-                    for i in first..first + groups[g].len() {
-                        failures.push(SampleFailure {
-                            sample: i,
-                            error: failure.error.clone(),
-                        });
-                        slots[i] = Some(Vec::new());
-                    }
-                    blamed.push(failure);
-                    if failures.len() > max_failures {
-                        stop_after.fetch_min(g, Ordering::Relaxed);
-                    }
+        for (gk, group) in block.iter().enumerate() {
+            let g = c * chunk + gk;
+            if g > stop_after.load(Ordering::Relaxed) {
+                break;
+            }
+            if !options.warm_start {
+                worker.reset();
+            }
+            let result = run_group(&mut worker, g * width, group);
+            let failed = result.is_err();
+            if failed {
+                if max_failures == 0 {
+                    stop_after.fetch_min(g, Ordering::Relaxed);
+                } else {
+                    // Quarantine: scrub any solver-state contamination
+                    // (NaN-poisoned guesses, degraded preconditioners)
+                    // before the next group.
+                    worker.reset();
                 }
             }
-            while done < n && slots[done].is_some() {
-                done += 1;
-                if let Some(progress) = options.progress {
-                    progress(done, n);
+            if !emit(g, result) || (failed && max_failures == 0) {
+                break;
+            }
+        }
+        let mut counters = SolveCounters::default();
+        for m in &worker.members {
+            counters.merge(&m.counters());
+        }
+        counters
+    };
+
+    // Merge in sample order *while the workers run*: results stream in as
+    // they complete and the serialized progress callback fires as the
+    // ordered frontier advances. Failed samples count as processed (their
+    // slot is an empty vector) so the frontier never stalls.
+    let mut slots: Vec<Option<Vec<f64>>> = (0..n).map(|_| None).collect();
+    let mut failures: Vec<SampleFailure> = Vec::new();
+    let mut blamed: Vec<SampleFailure> = Vec::new();
+    let mut done = 0usize;
+    let mut merge = |g: usize, result: GroupResult| {
+        let first = g * width;
+        match result {
+            Ok(ys) => {
+                for (j, y) in ys.into_iter().enumerate() {
+                    slots[first + j] = Some(y);
+                }
+            }
+            Err(failure) => {
+                for i in first..first + groups[g].len() {
+                    failures.push(SampleFailure {
+                        sample: i,
+                        error: failure.error.clone(),
+                    });
+                    slots[i] = Some(Vec::new());
+                }
+                blamed.push(failure);
+                if failures.len() > max_failures {
+                    stop_after.fetch_min(g, Ordering::Relaxed);
                 }
             }
         }
-        let counters: Vec<SolveCounters> = handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(c) => c,
-                // Re-raise the worker's own panic payload, not a new one.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect();
-        (slots, failures, blamed, counters)
-    });
+        while done < n && slots[done].is_some() {
+            done += 1;
+            if let Some(progress) = &options.progress {
+                progress(done, n);
+            }
+        }
+    };
 
-    let mut failures = failures;
+    let blocks: Vec<&[&[Vec<f64>]]> = groups.chunks(chunk).collect();
+    let counters: Vec<SolveCounters> = if let [block] = blocks[..] {
+        // One chunk runs on the calling thread: no thread is spawned, and
+        // its sessions allocate in the caller's allocator arena.
+        vec![run_chunk(0, block, &mut |g, result| {
+            merge(g, result);
+            true
+        })]
+    } else {
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel::<(usize, GroupResult)>();
+            let run_chunk = &run_chunk;
+            let handles: Vec<_> = blocks
+                .iter()
+                .enumerate()
+                .map(|(c, block)| {
+                    let tx = tx.clone();
+                    scope.spawn(move || {
+                        run_chunk(c, block, &mut |g, result| tx.send((g, result)).is_ok())
+                    })
+                })
+                .collect();
+            drop(tx);
+            for (g, result) in rx {
+                merge(g, result);
+            }
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(c) => c,
+                    // Re-raise the worker's own panic payload, not a new one.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        })
+    };
+
     failures.sort_by_key(|f| f.sample);
     if failures.len() > max_failures {
         let abandoned = slots.iter().filter(|s| s.is_none()).count();
@@ -577,15 +634,9 @@ mod tests {
 
     #[test]
     fn progress_streams_in_order() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static LAST: AtomicUsize = AtomicUsize::new(0);
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
-        fn progress(done: usize, total: usize) {
-            assert_eq!(total, 7);
-            let prev = LAST.swap(done, Ordering::SeqCst);
-            assert!(done >= prev, "progress went backwards: {prev} -> {done}");
-            CALLS.fetch_add(1, Ordering::SeqCst);
-        }
+        use std::sync::Mutex;
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&calls);
         let compiled = Arc::new(
             CompiledModel::compile(wire_model(), SolverOptions::default()).unwrap(),
         );
@@ -596,13 +647,19 @@ mod tests {
             &EnsembleOptions {
                 n_threads: 3,
                 warm_start: false,
-                progress: Some(progress),
+                progress: Some(Arc::new(move |done, total| {
+                    log.lock().unwrap().push((done, total));
+                })),
                 failure_policy: FailurePolicy::Abort,
             },
         )
         .unwrap();
-        assert_eq!(LAST.load(Ordering::SeqCst), 7);
-        assert_eq!(CALLS.load(Ordering::SeqCst), 7);
+        let calls = calls.lock().unwrap();
+        assert_eq!(calls.len(), 7);
+        for (k, &(done, total)) in calls.iter().enumerate() {
+            assert_eq!(total, 7);
+            assert_eq!(done, k + 1, "progress out of order: {calls:?}");
+        }
     }
 
     #[test]

@@ -54,10 +54,12 @@ pub trait QoiEvaluator {
 }
 
 /// The reference [`QoiEvaluator`]: every sample is a full transient solve,
-/// fanned out over [`run_ensemble`] worker sessions.
-pub struct FullSolve<'a, S: Scenario> {
-    compiled: &'a Arc<CompiledModel>,
-    scenario: &'a S,
+/// fanned out over [`run_ensemble`] worker sessions. It owns its compiled
+/// model and scenario, so it can live as long as a serving tier; pass
+/// `&scenario` to borrow one instead.
+pub struct FullSolve<S: Scenario> {
+    compiled: Arc<CompiledModel>,
+    scenario: S,
     dim: usize,
     options: EnsembleOptions,
     counters: SolveCounters,
@@ -65,17 +67,17 @@ pub struct FullSolve<'a, S: Scenario> {
     quarantined: usize,
 }
 
-impl<'a, S: Scenario> FullSolve<'a, S> {
+impl<S: Scenario> FullSolve<S> {
     /// Wraps a compiled model and scenario; `dim` is the per-sample
     /// parameter count and `options` controls the worker fan-out per batch.
     pub fn new(
-        compiled: &'a Arc<CompiledModel>,
-        scenario: &'a S,
+        compiled: &Arc<CompiledModel>,
+        scenario: S,
         dim: usize,
         options: EnsembleOptions,
     ) -> Self {
         FullSolve {
-            compiled,
+            compiled: Arc::clone(compiled),
             scenario,
             dim,
             options,
@@ -94,9 +96,14 @@ impl<'a, S: Scenario> FullSolve<'a, S> {
     pub fn options(&self) -> &EnsembleOptions {
         &self.options
     }
+
+    /// The scenario every sample runs.
+    pub fn scenario(&self) -> &S {
+        &self.scenario
+    }
 }
 
-impl<S: Scenario> QoiEvaluator for FullSolve<'_, S> {
+impl<S: Scenario> QoiEvaluator for FullSolve<S> {
     fn dim(&self) -> usize {
         self.dim
     }
@@ -105,7 +112,7 @@ impl<S: Scenario> QoiEvaluator for FullSolve<'_, S> {
         if samples.is_empty() {
             return Ok(Vec::new());
         }
-        let result = run_ensemble(self.compiled, self.scenario, samples, &self.options)?;
+        let result = run_ensemble(&self.compiled, &self.scenario, samples, &self.options)?;
         self.counters.merge(&result.counters);
         self.evaluated += samples.len();
         self.quarantined += result.outputs.iter().filter(|o| o.is_empty()).count();
