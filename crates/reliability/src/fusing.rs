@@ -67,7 +67,10 @@ pub struct CriticalLoad {
     /// Probes that early-exited at a threshold crossing.
     pub early_exits: usize,
     /// Crossing time (s) of the last failing probe, if any — how quickly an
-    /// overload at the failing end of the bracket kills the package.
+    /// overload at the failing end of the bracket kills the package. The
+    /// probes run no crossing sub-steps, so this is the linear
+    /// interpolation on the violating step (the
+    /// `etherm_bondwire::degradation::first_crossing` estimate).
     pub failing_crossing_time: Option<f64>,
 }
 
@@ -193,7 +196,9 @@ fn search(
                      crossing: &mut Option<f64>|
      -> Result<bool, ReliabilityError> {
         session.set_drive_scale(scale)?;
-        let mut observer = ThresholdObserver::new(options.threshold);
+        // The search reads only whether a probe crossed: no sub-steps to
+        // refine the crossing time.
+        let mut observer = ThresholdObserver::new(options.threshold).with_bisections(0);
         let observed = session.run_transient_observed(
             options.t_end,
             options.n_steps,
