@@ -57,8 +57,9 @@ fn job_of(
     let seed = 1000 + i as u64;
     let model = hot[i % 2];
     match i % 12 {
-        // Fusing is a bracket-and-bisect search (up to 17 transients per
-        // request), so its latency-class form probes with a single step.
+        // Fusing is `find_critical_load` over scales 1–256: up to 17
+        // probe transients per request (1 + 8 doublings + 8 bisections),
+        // so its latency-class form probes with a single step.
         10 => (
             seed,
             RequestClass::Fusing,

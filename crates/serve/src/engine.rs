@@ -1,15 +1,25 @@
 //! The serving engine: admission control, per-model session pools, and a
 //! work-stealing scheduler over `std::thread` workers.
 //!
+//! Serving is a protocol over the library: each request class calls the
+//! library routine that does its work. `wire_sizing` runs one observed
+//! transient and `fusing` runs [`etherm_reliability::find_critical_load`],
+//! both on a pooled session; `campaign` and `qoi` run their samples
+//! through [`etherm_core::run_ensemble`] (a per-job
+//! [`etherm_core::FullSolve`] for `qoi`, or the registered surrogate tier
+//! with a `FullSolve` fallback).
+//!
 //! # Determinism contract
 //!
 //! Every job's result depends only on `(model spec, class, params, seed)`.
 //! The scheduler guarantees this by construction:
 //!
-//! * a job runs on exactly one worker, sequentially, on a session that is
-//!   [`etherm_core::Session::reset`] to the fresh-simulator state (nominal
-//!   wire lengths, unit drive, no cached preconditioners) in the job
-//!   prologue — nothing solved by previous tenants can leak in;
+//! * a job runs on exactly one worker. `wire_sizing` and `fusing` run on a
+//!   pooled session that is [`etherm_core::Session::reset`] to the
+//!   fresh-session state (nominal wire lengths, unit drive, no cached
+//!   preconditioners) in the job prologue — nothing solved by previous
+//!   tenants can leak in; `campaign` and `qoi` run the ensemble in exact
+//!   mode on one thread, so each sample starts from a reset session;
 //! * "warm" reuse is *allocation* reuse (stamping templates, Krylov
 //!   workspaces, pooled sessions, the shared compiled model), never
 //!   numerical state;
@@ -22,9 +32,10 @@
 //!
 //! Three gates, all answered with structured frames rather than failure:
 //! a bounded queue (overflow → `shed`), a per-request-class Krylov
-//! iteration budget (`Session::set_iteration_budget`; exhaustion → an
-//! `error` frame with kind `budget-exhausted`), and per-model health (a
-//! merged [`RecoveryLedger`] past the degradation threshold → `shed`).
+//! iteration budget (`Session::set_iteration_budget`, on the pooled
+//! session or in each ensemble sample's set-up; exhaustion → an `error`
+//! frame with kind `budget-exhausted`), and per-model health (a merged
+//! [`RecoveryLedger`] past the degradation threshold → `shed`).
 
 use crate::clock::Clock;
 use crate::protocol::{
@@ -33,10 +44,12 @@ use crate::protocol::{
 use crate::registry::ModelRegistry;
 use crate::spec::ModelSpec;
 use etherm_core::{
-    CompiledModel, CoreError, ObserverAction, QoiEvaluator, RecoveryLedger, Session, StepObserver,
-    StepRecord,
+    run_ensemble, CompiledModel, CoreError, EnsembleOptions, FullSolve, ObserverAction,
+    QoiEvaluator, RecoveryLedger, Scenario, Session, SolveCounters, StepObserver, StepRecord,
 };
-use etherm_reliability::{ReliabilityError, SurrogateWithFallback};
+use etherm_reliability::{
+    find_critical_load, FusingSearchOptions, ReliabilityError, SurrogateWithFallback,
+};
 use etherm_uq::{Distribution, Surrogate};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -154,7 +167,7 @@ struct PoolInner {
 struct ModelState {
     compiled: Arc<CompiledModel>,
     pool: Mutex<PoolInner>,
-    surrogate: Mutex<Option<SurrogateWithFallback<ServeFullSolve>>>,
+    surrogate: Mutex<Option<SurrogateWithFallback<FullSolve<PeakScenario>>>>,
 }
 
 impl ModelState {
@@ -184,14 +197,7 @@ impl ModelState {
         session.reset();
         session.reset_counters();
         session.set_drive_scale(1.0)?;
-        let nominal: Vec<f64> = self
-            .compiled
-            .model()
-            .wires()
-            .iter()
-            .map(|w| w.wire.length())
-            .collect();
-        for (j, &length) in nominal.iter().enumerate() {
+        for (j, &length) in nominal_lengths(&self.compiled).iter().enumerate() {
             session.set_wire_length(j, length)?;
         }
         Ok(session)
@@ -200,10 +206,15 @@ impl ModelState {
     /// Returns a session to the pool, folding its recovery ledger into the
     /// model's health.
     fn checkin(&self, session: Session) {
+        self.record(&session.recovery_ledger());
+        lock_or_recover(&self.pool).idle.push(session);
+    }
+
+    /// Folds a finished job's recovery ledger into the model's health.
+    fn record(&self, ledger: &RecoveryLedger) {
         let mut pool = lock_or_recover(&self.pool);
-        pool.ledger.merge(&session.recovery_ledger());
+        pool.ledger.merge(ledger);
         pool.jobs_done += 1;
-        pool.idle.push(session);
     }
 
     fn degraded(&self, degrade_after: usize) -> bool {
@@ -417,9 +428,10 @@ impl Engine {
     /// Registers a trained surrogate tier for `spec`'s model: `qoi`-class
     /// requests on it are answered by the surrogate when its error
     /// estimate clears `tolerance`, falling back to full solves otherwise.
-    /// The fallback is a dedicated [`ServeFullSolve`] session evaluating
-    /// the peak-temperature QoI over `t_end`/`n_steps`; auto-refine stays
-    /// off so answers are history-independent.
+    /// The fallback is a [`FullSolve`] of the peak-temperature QoI over
+    /// `t_end`/`n_steps`, each sample on a reset session under the `qoi`
+    /// class budget; auto-refine stays off so answers are
+    /// history-independent.
     ///
     /// # Errors
     ///
@@ -438,7 +450,9 @@ impl Engine {
         let s = &self.shared;
         let compiled = s.registry.get_or_compile(spec)?;
         let state = model_state(s, spec.content_hash(), &compiled);
-        let fallback = ServeFullSolve::new(Arc::clone(&compiled), t_end, n_steps);
+        let scenario = PeakScenario::new(&compiled, t_end, n_steps, s.config.budgets.qoi, None);
+        let dim = scenario.nominal.len();
+        let fallback = FullSolve::new(&compiled, scenario, dim, EnsembleOptions::default());
         let tier = SurrogateWithFallback::new(fallback, surrogates, marginals, tolerance)
             .map_err(|e: ReliabilityError| CoreError::InvalidModel(e.to_string()))?;
         *lock_or_recover(&state.surrogate) = Some(tier);
@@ -544,21 +558,14 @@ fn run_job(shared: &Shared, job: &Job) {
         }
     };
     let state = model_state(shared, job.hash, &compiled);
-    let mut session = match state.checkout() {
-        Ok(session) => session,
-        Err(e) => {
-            finish(Response::Error {
-                id: job.id,
-                kind: ErrorKind::Internal,
-                message: format!("session prologue failed: {e}"),
-            });
-            return;
+    let budget = shared.config.budgets.for_class(job.class);
+    let outcome = match job.class {
+        RequestClass::WireSizing | RequestClass::Fusing => pooled(shared, job, &state, budget),
+        RequestClass::Campaign => {
+            campaign(job, &state, budget).map_err(|e| error_response(job.id, &e))
         }
+        RequestClass::Qoi => qoi(job, &state, budget).map_err(|e| error_response(job.id, &e)),
     };
-    session.set_iteration_budget(Some(shared.config.budgets.for_class(job.class)));
-    let outcome = execute_class(shared, job, &mut session, &state);
-    session.set_iteration_budget(None);
-    state.checkin(session);
     if job.cancel.load(Ordering::SeqCst) {
         finish(Response::Cancelled { id: job.id });
         return;
@@ -572,7 +579,7 @@ fn run_job(shared: &Shared, job: &Job) {
             served: out.served,
             iterations: out.iterations,
         }),
-        Err(e) => finish(error_response(job.id, &e)),
+        Err(frame) => finish(frame),
     }
 }
 
@@ -619,15 +626,12 @@ fn find_budget(e: &CoreError) -> Option<&CoreError> {
     }
 }
 
-/// Observer threading cancellation, optional threshold early exit and
-/// progress frames through a transient run.
+/// Observer threading cancellation and progress frames through a
+/// `wire_sizing` transient.
 struct RunObserver<'a> {
     job: &'a Job,
     n_steps: usize,
     every: usize,
-    threshold: Option<f64>,
-    crossed: bool,
-    emit_progress: bool,
 }
 
 impl<'a> RunObserver<'a> {
@@ -636,20 +640,7 @@ impl<'a> RunObserver<'a> {
             job,
             n_steps,
             every: (n_steps / progress_points.max(1)).max(1),
-            threshold: None,
-            crossed: false,
-            emit_progress: true,
         }
-    }
-
-    fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = Some(threshold);
-        self
-    }
-
-    fn silent(mut self) -> Self {
-        self.emit_progress = false;
-        self
     }
 }
 
@@ -658,21 +649,7 @@ impl StepObserver for RunObserver<'_> {
         if self.job.cancel.load(Ordering::SeqCst) {
             return ObserverAction::Stop;
         }
-        if let Some(threshold) = self.threshold {
-            if record
-                .wire_temperatures
-                .iter()
-                .any(|&t| t >= threshold)
-            {
-                self.crossed = true;
-                return ObserverAction::Stop;
-            }
-        }
-        if self.emit_progress
-            && record.step > 0
-            && record.step < self.n_steps
-            && record.step.is_multiple_of(self.every)
-        {
+        if record.step > 0 && record.step < self.n_steps && record.step.is_multiple_of(self.every) {
             let _ = self.job.tx.send(Response::Progress {
                 id: self.job.id,
                 done: record.step as u64,
@@ -701,40 +678,8 @@ fn interrupted() -> CoreError {
     CoreError::InvalidModel("job interrupted".to_string())
 }
 
-fn execute_class(
-    shared: &Shared,
-    job: &Job,
-    session: &mut Session,
-    state: &ModelState,
-) -> Result<JobOutput, CoreError> {
-    let out = match job.class {
-        RequestClass::WireSizing => run_wire_sizing(shared, job, session)?,
-        RequestClass::Fusing => run_fusing(shared, job, session)?,
-        RequestClass::Campaign => run_campaign(job, session)?,
-        RequestClass::Qoi => run_qoi(job, session, state)?,
-    };
-    Ok(out)
-}
-
-/// Applies the seeded elongation sample `stream(seed)` to the session:
-/// `L_j = nominal_j · (1 + spread · u_j)`, `u_j ∈ [-1, 1)`.
-fn apply_seeded_lengths(
-    session: &mut Session,
-    nominal: &[f64],
-    seed: u64,
-    spread: f64,
-) -> Result<(), CoreError> {
-    let mut stream = seed;
-    for (j, &length) in nominal.iter().enumerate() {
-        let u = unit_symmetric(&mut stream);
-        session.set_wire_length(j, length * (1.0 + spread * u))?;
-    }
-    Ok(())
-}
-
-fn nominal_lengths(session: &Session) -> Vec<f64> {
-    session
-        .compiled()
+fn nominal_lengths(compiled: &CompiledModel) -> Vec<f64> {
+    compiled
         .model()
         .wires()
         .iter()
@@ -742,25 +687,53 @@ fn nominal_lengths(session: &Session) -> Vec<f64> {
         .collect()
 }
 
-fn session_iterations(session: &Session) -> u64 {
-    let c = session.counters();
-    (c.electrical_iterations + c.thermal_iterations) as u64
+/// Sets `L_j = nominal_j · (1 + δ_j)`.
+fn set_elongations(
+    session: &mut Session,
+    nominal: &[f64],
+    deltas: &[f64],
+) -> Result<(), CoreError> {
+    for (j, (&length, &delta)) in nominal.iter().zip(deltas).enumerate() {
+        session.set_wire_length(j, length * (1.0 + delta))?;
+    }
+    Ok(())
 }
 
-fn run_wire_sizing(
+fn iterations(counters: &SolveCounters) -> u64 {
+    (counters.electrical_iterations + counters.thermal_iterations) as u64
+}
+
+/// Runs a `wire_sizing` or `fusing` job on a pooled session under the
+/// class budget.
+fn pooled(
     shared: &Shared,
     job: &Job,
-    session: &mut Session,
-) -> Result<JobOutput, CoreError> {
-    let nominal = nominal_lengths(session);
-    apply_seeded_lengths(session, &nominal, job.seed, job.params.spread)?;
+    state: &ModelState,
+    budget: usize,
+) -> Result<JobOutput, Response> {
+    let mut session = state.checkout().map_err(|e| Response::Error {
+        id: job.id,
+        kind: ErrorKind::Internal,
+        message: format!("session prologue failed: {e}"),
+    })?;
+    session.set_iteration_budget(Some(budget));
+    let outcome = if job.class == RequestClass::Fusing {
+        fusing(job, &mut session)
+    } else {
+        wire_sizing(shared, job, &mut session).map_err(|e| error_response(job.id, &e))
+    };
+    session.set_iteration_budget(None);
+    state.checkin(session);
+    outcome
+}
+
+fn wire_sizing(shared: &Shared, job: &Job, session: &mut Session) -> Result<JobOutput, CoreError> {
+    let nominal = nominal_lengths(session.compiled());
+    let deltas = seeded_deltas(job.seed, nominal.len(), job.params.spread);
+    set_elongations(session, &nominal, &deltas)?;
     let mut observer = RunObserver::new(job, job.params.n_steps, shared.config.progress_points);
-    let observed = session.run_transient_observed(
-        job.params.t_end,
-        job.params.n_steps,
-        &[],
-        &mut observer,
-    )?;
+    let observed =
+        session.run_transient_observed(job.params.t_end, job.params.n_steps, &[], &mut observer)?;
     if job.cancel.load(Ordering::SeqCst) {
         return Err(interrupted());
     }
@@ -781,218 +754,217 @@ fn run_wire_sizing(
         served_by: "full",
         full_solves: 1,
         served: 0,
-        iterations: session_iterations(session),
+        iterations: iterations(&session.counters()),
     })
 }
 
-fn run_fusing(shared: &Shared, job: &Job, session: &mut Session) -> Result<JobOutput, CoreError> {
-    let threshold = job.params.threshold;
-    let total_evals = 8 + 8; // doubling phase + bisection phase, for progress
-    let mut evals: u64 = 0;
-    let mut peak_at = |session: &mut Session, scale: f64| -> Result<f64, CoreError> {
-        if job.cancel.load(Ordering::SeqCst) {
-            return Err(interrupted());
-        }
-        session.set_drive_scale(scale)?;
-        let mut observer = RunObserver::new(job, job.params.n_steps, shared.config.progress_points)
-            .with_threshold(threshold)
-            .silent();
-        let observed = session.run_transient_observed(
-            job.params.t_end,
-            job.params.n_steps,
-            &[],
-            &mut observer,
-        )?;
-        if job.cancel.load(Ordering::SeqCst) {
-            return Err(interrupted());
-        }
-        evals += 1;
-        let _ = job.tx.send(Response::Progress {
-            id: job.id,
-            done: evals.min(total_evals - 1),
-            total: total_evals,
-        });
-        Ok(peak_of(&observed.solution))
+/// Upper end of the `fusing` drive-scale bracket: eight doublings of the
+/// nominal drive. The search resolves the critical scale to `1/256` of it.
+const FUSING_SCALE_HI: f64 = 256.0;
+
+/// `fusing`: [`find_critical_load`] on the pooled session. The reply is
+/// `[safe_scale, failing_scale]`, the final bracket.
+fn fusing(job: &Job, session: &mut Session) -> Result<JobOutput, Response> {
+    let options = FusingSearchOptions {
+        t_end: job.params.t_end,
+        n_steps: job.params.n_steps,
+        threshold: job.params.threshold,
+        scale_lo: 1.0,
+        scale_hi: FUSING_SCALE_HI,
+        tol_rel: 1.0 / FUSING_SCALE_HI,
+        ..FusingSearchOptions::default()
     };
-    // Exponential bracket: double the drive until the threshold is
-    // crossed (or give up at 128×).
-    let mut lo = 0.0_f64;
-    let mut hi = 1.0_f64;
-    let mut peak_hi = peak_at(session, hi)?;
-    let mut doublings: u64 = 0;
-    while peak_hi < threshold && doublings < 8 {
-        lo = hi;
-        hi *= 2.0;
-        peak_hi = peak_at(session, hi)?;
-        doublings += 1;
-    }
-    if peak_hi < threshold {
-        // Not reachable within the bracket: report scale 0 (sentinel) and
-        // the strongest peak seen.
-        return Ok(JobOutput {
-            qoi: vec![0.0, peak_hi],
-            served_by: "full",
-            full_solves: doublings + 1,
-            served: 0,
-            iterations: session_iterations(session),
-        });
-    }
-    // Bisection for the critical scale.
-    for _ in 0..8 {
-        let mid = 0.5 * (lo + hi);
-        let peak_mid = peak_at(session, mid)?;
-        if peak_mid >= threshold {
-            hi = mid;
-            peak_hi = peak_mid;
-        } else {
-            lo = mid;
-        }
-    }
+    let load = find_critical_load(session, &options).map_err(|e| match e {
+        ReliabilityError::Core(e) => error_response(job.id, &e),
+        other => Response::Error {
+            id: job.id,
+            kind: ErrorKind::Invalid,
+            message: other.to_string(),
+        },
+    })?;
     Ok(JobOutput {
-        qoi: vec![hi, peak_hi],
+        qoi: vec![load.scale, load.bracket.1],
         served_by: "full",
-        full_solves: evals,
+        full_solves: load.runs as u64,
         served: 0,
-        iterations: session_iterations(session),
+        iterations: iterations(&session.counters()),
     })
 }
 
-fn run_campaign(job: &Job, session: &mut Session) -> Result<JobOutput, CoreError> {
-    let nominal = nominal_lengths(session);
-    let n = job.params.n_samples;
-    let mut mean = 0.0;
-    let mut max = f64::NEG_INFINITY;
-    let mut min = f64::INFINITY;
-    for s in 0..n {
-        if job.cancel.load(Ordering::SeqCst) {
-            return Err(interrupted());
+/// The scenario of the ensemble-backed classes (`campaign`, `qoi` and the
+/// surrogate tier's fallback): a sample is the relative wire elongations
+/// `δ_j`, applied as `L_j = nominal_j · (1 + δ_j)`, and the QoI is the peak
+/// wire temperature over `t_end`/`n_steps`. Each sample's set-up installs
+/// the class budget and stops the run once the job is cancelled.
+struct PeakScenario {
+    nominal: Vec<f64>,
+    t_end: f64,
+    n_steps: usize,
+    budget: usize,
+    cancel: Option<Arc<AtomicBool>>,
+    /// The solving session's counters after its latest run, failed or not.
+    /// A job runs one single-threaded ensemble, so this is the job's
+    /// solver work even when the ensemble aborts.
+    spent: Mutex<SolveCounters>,
+}
+
+impl PeakScenario {
+    fn new(
+        compiled: &CompiledModel,
+        t_end: f64,
+        n_steps: usize,
+        budget: usize,
+        cancel: Option<Arc<AtomicBool>>,
+    ) -> Self {
+        PeakScenario {
+            nominal: nominal_lengths(compiled),
+            t_end,
+            n_steps,
+            budget,
+            cancel,
+            spent: Mutex::new(SolveCounters::default()),
         }
-        // Per-sample substream: seed ⊕ sample index through splitmix64,
-        // the same derivation for any worker count.
-        let sample_seed = mix(job.seed, s as u64);
-        apply_seeded_lengths(session, &nominal, sample_seed, job.params.spread)?;
-        let mut observer = RunObserver::new(job, job.params.n_steps, 1).silent();
-        let observed = session.run_transient_observed(
-            job.params.t_end,
-            job.params.n_steps,
-            &[],
-            &mut observer,
-        )?;
-        if job.cancel.load(Ordering::SeqCst) {
-            return Err(interrupted());
-        }
-        let peak = peak_of(&observed.solution);
-        mean += (peak - mean) / (s as f64 + 1.0);
-        max = max.max(peak);
-        min = min.min(peak);
-        // The PR-4 serialized ensemble progress callback, as a frame: one
-        // `(done, total)` tick per merged sample.
-        let _ = job.tx.send(Response::Progress {
-            id: job.id,
-            done: (s + 1) as u64,
-            total: n as u64,
-        });
     }
+
+    /// The scenario of `job`'s own samples, stopped by its cancel flag.
+    fn for_job(job: &Job, compiled: &CompiledModel, budget: usize) -> Self {
+        let p = &job.params;
+        let cancel = Some(Arc::clone(&job.cancel));
+        Self::new(compiled, p.t_end, p.n_steps, budget, cancel)
+    }
+
+    /// The counters of the job just run, leaving zero for the next one.
+    fn take_spent(&self) -> SolveCounters {
+        std::mem::take(&mut *lock_or_recover(&self.spent))
+    }
+}
+
+impl Scenario for PeakScenario {
+    fn apply(&self, session: &mut Session, sample: &[f64]) -> Result<(), CoreError> {
+        if self
+            .cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::SeqCst))
+        {
+            return Err(interrupted());
+        }
+        session.set_iteration_budget(Some(self.budget));
+        set_elongations(session, &self.nominal, sample)
+    }
+
+    fn evaluate(&self, session: &mut Session) -> Result<Vec<f64>, CoreError> {
+        let run = session.run_transient(self.t_end, self.n_steps, &[]);
+        *lock_or_recover(&self.spent) = session.counters();
+        Ok(vec![peak_of(&run?)])
+    }
+}
+
+/// Ensemble options of a job's own samples: one thread, exact mode, and
+/// one `progress` frame per merged sample.
+fn ensemble_options(job: &Job) -> EnsembleOptions {
+    let (tx, id) = (job.tx.clone(), job.id);
+    EnsembleOptions {
+        progress: Some(Arc::new(move |done, total| {
+            let _ = tx.send(Response::Progress {
+                id,
+                done: done as u64,
+                total: total as u64,
+            });
+        })),
+        ..EnsembleOptions::default()
+    }
+}
+
+/// `campaign`: `n_samples` seeded elongation rows through [`run_ensemble`],
+/// reduced to `[mean, max, min]` of the peaks.
+fn campaign(job: &Job, state: &ModelState, budget: usize) -> Result<JobOutput, CoreError> {
+    let scenario = PeakScenario::for_job(job, &state.compiled, budget);
+    let p = &job.params;
+    let rows = campaign_rows(job.seed, p.n_samples, scenario.nominal.len(), p.spread);
+    let result = run_ensemble(&state.compiled, &scenario, &rows, &ensemble_options(job));
+    let spent = scenario.take_spent();
+    state.record(&spent.recovery);
+    let (mean, max, min) = reduce_peaks(&result?.outputs);
     Ok(JobOutput {
         qoi: vec![mean, max, min],
         served_by: "full",
-        full_solves: n as u64,
+        full_solves: rows.len() as u64,
         served: 0,
-        iterations: session_iterations(session),
+        iterations: iterations(&spent),
     })
 }
 
-fn run_qoi(job: &Job, session: &mut Session, state: &ModelState) -> Result<JobOutput, CoreError> {
-    let nominal = nominal_lengths(session);
-    let dim = nominal.len();
-    if job.params.samples.is_empty() {
+/// The seeded δ rows of a campaign: sample `s` draws from `mix(seed, s)`.
+fn campaign_rows(seed: u64, n_samples: usize, n_wires: usize, spread: f64) -> Vec<Vec<f64>> {
+    (0..n_samples)
+        .map(|s| seeded_deltas(mix(seed, s as u64), n_wires, spread))
+        .collect()
+}
+
+/// `(mean, max, min)` of one-peak outputs, the mean accumulated in sample
+/// order.
+fn reduce_peaks(outputs: &[Vec<f64>]) -> (f64, f64, f64) {
+    let mut mean = 0.0;
+    let mut max = f64::NEG_INFINITY;
+    let mut min = f64::INFINITY;
+    for (s, peak) in outputs.iter().filter_map(|y| y.first()).enumerate() {
+        mean += (peak - mean) / (s as f64 + 1.0);
+        max = max.max(*peak);
+        min = min.min(*peak);
+    }
+    (mean, max, min)
+}
+
+/// `qoi`: the explicit δ rows through the registered surrogate tier, or
+/// through a per-job [`FullSolve`].
+fn qoi(job: &Job, state: &ModelState, budget: usize) -> Result<JobOutput, CoreError> {
+    let samples = &job.params.samples;
+    let dim = state.compiled.model().wires().len();
+    if samples.is_empty() {
         return Err(CoreError::InvalidModel(
             "qoi requests need explicit params.samples".to_string(),
         ));
     }
-    for (i, sample) in job.params.samples.iter().enumerate() {
+    for (i, sample) in samples.iter().enumerate() {
         if sample.len() != dim {
             return Err(CoreError::InvalidModel(format!(
                 "qoi sample {i} has dimension {} but the model has {dim} wires",
                 sample.len()
             )));
         }
-    }
-    // Surrogate tier first, when registered.
-    {
-        let mut tier = lock_or_recover(&state.surrogate);
-        if let Some(tier) = tier.as_mut() {
-            let full_before = tier.full_solves() as u64;
-            let served_before = tier.served() as u64;
-            let iters_before = {
-                let c = tier.counters();
-                (c.electrical_iterations + c.thermal_iterations) as u64
-            };
-            let outputs = tier.evaluate(&job.params.samples)?;
-            let mut qoi = Vec::new();
-            for (i, out) in outputs.iter().enumerate() {
-                if out.is_empty() {
-                    return Err(CoreError::EnsembleFailed {
-                        sample: i,
-                        failures: 1,
-                        abandoned: 0,
-                        source: Box::new(CoreError::InvalidModel(
-                            "sample quarantined by the evaluator".to_string(),
-                        )),
-                    });
-                }
-                qoi.extend_from_slice(out);
-            }
-            let iters_after = {
-                let c = tier.counters();
-                (c.electrical_iterations + c.thermal_iterations) as u64
-            };
-            return Ok(JobOutput {
-                qoi,
-                served_by: "surrogate",
-                full_solves: tier.full_solves() as u64 - full_before,
-                served: tier.served() as u64 - served_before,
-                iterations: iters_after - iters_before,
-            });
+        if let Some((j, delta)) = sample
+            .iter()
+            .enumerate()
+            .find(|(_, d)| !(d.is_finite() && **d > -0.9))
+        {
+            return Err(CoreError::InvalidModel(format!(
+                "qoi sample {i}, wire {j}: relative elongation {delta} out of range"
+            )));
         }
     }
-    // Full-solve path: one reset transient per sample.
-    let mut qoi = Vec::with_capacity(job.params.samples.len());
-    for (i, sample) in job.params.samples.iter().enumerate() {
-        if job.cancel.load(Ordering::SeqCst) {
-            return Err(interrupted());
-        }
-        for (j, &delta) in sample.iter().enumerate() {
-            if !(delta.is_finite() && delta > -0.9) {
-                return Err(CoreError::InvalidModel(format!(
-                    "qoi sample {i}, wire {j}: relative elongation {delta} out of range"
-                )));
-            }
-            session.set_wire_length(j, nominal[j] * (1.0 + delta))?;
-        }
-        let mut observer = RunObserver::new(job, job.params.n_steps, 1).silent();
-        let observed = session.run_transient_observed(
-            job.params.t_end,
-            job.params.n_steps,
-            &[],
-            &mut observer,
-        )?;
-        if job.cancel.load(Ordering::SeqCst) {
-            return Err(interrupted());
-        }
-        qoi.push(peak_of(&observed.solution));
-        let _ = job.tx.send(Response::Progress {
-            id: job.id,
-            done: (i + 1) as u64,
-            total: job.params.samples.len() as u64,
-        });
-    }
+    let scenario = PeakScenario::for_job(job, &state.compiled, budget);
+    let mut full = FullSolve::new(&state.compiled, &scenario, dim, ensemble_options(job));
+    let mut tier = lock_or_recover(&state.surrogate);
+    let evaluator: &mut dyn QoiEvaluator = match tier.as_mut() {
+        Some(tier) => tier,
+        None => &mut full,
+    };
+    let (full_before, served_before) = (evaluator.full_solves(), evaluator.served());
+    let outputs = evaluator.evaluate(samples);
+    let full_solves = (evaluator.full_solves() - full_before) as u64;
+    let served = (evaluator.served() - served_before) as u64;
+    let (served_by, spent) = match tier.as_ref() {
+        Some(tier) => ("surrogate", tier.fallback().scenario().take_spent()),
+        None => ("full", scenario.take_spent()),
+    };
+    drop(tier);
+    state.record(&spent.recovery);
     Ok(JobOutput {
-        qoi,
-        served_by: "full",
-        full_solves: job.params.samples.len() as u64,
-        served: 0,
-        iterations: session_iterations(session),
+        qoi: outputs?.concat(),
+        served_by,
+        full_solves,
+        served,
+        iterations: iterations(&spent),
     })
 }
 
@@ -1022,79 +994,73 @@ fn mix(seed: u64, index: u64) -> u64 {
     splitmix64(&mut state)
 }
 
-// ---------------------------------------------------------------------------
-// The owned full-solve fallback behind the surrogate tier
-// ---------------------------------------------------------------------------
-
-/// An owned [`QoiEvaluator`]: peak wire temperature per sample, each
-/// evaluated on a dedicated reset session (history-independent, so serve
-/// answers are reproducible regardless of request order).
-pub struct ServeFullSolve {
-    session: Session,
-    nominal: Vec<f64>,
-    t_end: f64,
-    n_steps: usize,
-    evaluated: usize,
+/// The seeded relative elongations of one sample: `δ_j = spread · u_j`,
+/// `u_j ∈ [-1, 1)` drawn from the stream `seed`.
+fn seeded_deltas(seed: u64, n_wires: usize, spread: f64) -> Vec<f64> {
+    let mut stream = seed;
+    (0..n_wires)
+        .map(|_| spread * unit_symmetric(&mut stream))
+        .collect()
 }
 
-impl ServeFullSolve {
-    /// A fallback evaluator over `compiled` running `t_end`/`n_steps`
-    /// transients.
-    pub fn new(compiled: Arc<CompiledModel>, t_end: f64, n_steps: usize) -> Self {
-        let nominal = compiled
-            .model()
-            .wires()
-            .iter()
-            .map(|w| w.wire.length())
-            .collect();
-        ServeFullSolve {
-            session: Session::new(compiled),
-            nominal,
-            t_end,
-            n_steps,
-            evaluated: 0,
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::ManualClock;
+    use crate::handle::ServeHandle;
+    use crate::protocol::JobParams;
+    use std::time::Duration;
 
-impl QoiEvaluator for ServeFullSolve {
-    fn dim(&self) -> usize {
-        self.nominal.len()
-    }
-
-    fn evaluate(&mut self, samples: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, CoreError> {
-        let mut outputs = Vec::with_capacity(samples.len());
-        for sample in samples {
-            self.session.reset();
-            for (j, &delta) in sample.iter().enumerate() {
-                if !(delta.is_finite() && delta > -0.9) {
-                    return Err(CoreError::InvalidModel(format!(
-                        "fallback sample entry {delta} out of range"
-                    )));
-                }
-                let length = self
-                    .nominal
-                    .get(j)
-                    .copied()
-                    .ok_or_else(|| CoreError::InvalidModel("sample dimension mismatch".into()))?;
-                self.session.set_wire_length(j, length * (1.0 + delta))?;
+    /// A `campaign` reply is mean/max/min over the `run_ensemble` outputs
+    /// of the job's seeded δ rows, bit for bit, with one progress frame
+    /// per sample. (`fusing_and_qoi_replies_equal_the_library` checks the
+    /// scenario itself against an independent one.)
+    #[test]
+    fn campaign_reply_equals_run_ensemble_over_seeded_rows() {
+        let (spec, seed) = (ModelSpec::block_small(), 17);
+        let params = JobParams {
+            t_end: 0.5,
+            n_steps: 4,
+            n_samples: 5,
+            spread: 0.2,
+            ..JobParams::default()
+        };
+        let engine = Engine::with_clock(ServeConfig::default(), ManualClock::new());
+        let ticket = ServeHandle::new(Arc::clone(&engine)).submit(
+            RequestClass::Campaign,
+            spec,
+            params.clone(),
+            seed,
+        );
+        let mut progress = Vec::new();
+        let reply = loop {
+            match ticket.next_timeout(Duration::from_secs(120)) {
+                Some(Response::Accepted { .. }) => {}
+                Some(Response::Progress { done, total, .. }) => progress.push((done, total)),
+                other => break other,
             }
-            let sol = self.session.run_transient(self.t_end, self.n_steps, &[])?;
-            outputs.push(vec![peak_of(&sol)]);
-            self.evaluated += 1;
+        };
+        engine.shutdown_and_join();
+
+        let compiled = Arc::new(spec.build().unwrap());
+        let scenario = PeakScenario::new(&compiled, params.t_end, params.n_steps, 0, None);
+        let rows = campaign_rows(seed, 5, scenario.nominal.len(), params.spread);
+        let options = EnsembleOptions::default();
+        let peaks = run_ensemble(&compiled, &scenario, &rows, &options)
+            .unwrap()
+            .outputs
+            .concat();
+        let mut mean = 0.0;
+        for (s, peak) in peaks.iter().enumerate() {
+            mean += (peak - mean) / (s as f64 + 1.0);
         }
-        Ok(outputs)
-    }
-
-    fn full_solves(&self) -> usize {
-        self.evaluated
-    }
-
-    fn served(&self) -> usize {
-        0
-    }
-
-    fn counters(&self) -> etherm_core::SolveCounters {
-        self.session.counters()
+        let max = peaks.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let min = peaks.iter().copied().fold(f64::INFINITY, f64::min);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match reply {
+            Some(Response::Result { qoi, .. }) => assert_eq!(bits(&qoi), bits(&[mean, max, min])),
+            other => panic!("expected a campaign result, got {other:?}"),
+        }
+        assert_eq!(progress, (1..=5).map(|d| (d, 5)).collect::<Vec<_>>());
     }
 }

@@ -11,7 +11,11 @@
 //! * [`Engine`] — per-model session pools behind a work-stealing
 //!   scheduler over `std::thread` workers, with admission control
 //!   (bounded queue + load shedding, per-request-class iteration
-//!   budgets, per-model health from merged recovery ledgers);
+//!   budgets, per-model health from merged recovery ledgers). Each
+//!   request class calls the library routine that does its work:
+//!   `fusing` runs `etherm_reliability::find_critical_load`, `campaign`
+//!   and `qoi` run `etherm_core::run_ensemble` (through `FullSolve` or a
+//!   registered surrogate tier for `qoi`);
 //! * [`ServeHandle`] — the in-process client, one channel per job;
 //! * [`daemon`] — the TCP front end speaking the versioned NDJSON
 //!   protocol of [`protocol`] (see `crates/serve/PROTOCOL.md`), one
@@ -41,7 +45,7 @@ pub mod spec;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use daemon::Daemon;
-pub use engine::{ClassBudgets, Engine, ServeConfig, ServeFullSolve};
+pub use engine::{ClassBudgets, Engine, ServeConfig};
 pub use handle::{JobTicket, ServeHandle};
 pub use protocol::{
     ErrorKind, JobParams, ModelHealth, ProtocolError, Request, RequestClass, Response,

@@ -48,14 +48,19 @@ pub enum RequestClass {
     /// One transient on sampled wire lengths; QoI: per-wire peak
     /// temperatures plus the global peak.
     WireSizing,
-    /// Bisection for the critical drive scale whose peak reaches the
-    /// threshold; QoI: `[critical_scale, peak_at_critical]`.
+    /// `etherm_reliability::find_critical_load` over drive scales 1–256,
+    /// resolved to 1/256 of the failing scale, for the drive whose peak
+    /// reaches the threshold; QoI: `[safe_scale, failing_scale]` (`[0, 1]`
+    /// when the nominal drive already fails, `[256, 256]` when nothing up
+    /// to 256 does). Sends no progress frames.
     Fusing,
-    /// A seeded Monte Carlo campaign of `n_samples` transients; QoI:
+    /// A seeded Monte Carlo campaign of `n_samples` transients through
+    /// `etherm_core::run_ensemble`, each from a reset session; QoI:
     /// `[mean_peak, max_peak, min_peak]`. Streams progress.
     Campaign,
     /// QoI vectors for explicit parameter samples, served by the surrogate
-    /// tier when one is registered, full solves otherwise.
+    /// tier when one is registered, through `etherm_core::FullSolve`
+    /// otherwise.
     Qoi,
 }
 

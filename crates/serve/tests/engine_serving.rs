@@ -1,11 +1,14 @@
 //! Integration tests of the serving engine: scheduler determinism across
 //! worker counts, per-class budget admission, queue-overflow shedding,
-//! worker wakeups under back-to-back submits, cancellation, and surrogate
-//! routing for QoI requests.
+//! worker wakeups under back-to-back submits, cancellation, surrogate
+//! routing for QoI requests, and replies equal to the library routines
+//! each class calls.
 //!
 //! All timeouts are `Duration` bounds on channel receives — no wall-clock
 //! reads (the `wall-clock` lint covers test files too).
 
+use etherm_core::{CoreError, EnsembleOptions, FullSolve, QoiEvaluator, Scenario, Session};
+use etherm_reliability::{find_critical_load, FusingSearchOptions};
 use etherm_serve::{
     ClassBudgets, Engine, ErrorKind, JobParams, ManualClock, ModelSpec, RequestClass, Response,
     ServeConfig, ServeHandle,
@@ -104,41 +107,49 @@ fn results_bit_identical_across_worker_counts() {
 
 /// A request class with an exhausted iteration budget fails with a
 /// structured `budget-exhausted` error while a concurrently running
-/// well-behaved class completes normally.
+/// well-behaved class completes normally. A campaign's budget trips inside
+/// its ensemble, so its error is found under `EnsembleFailed`.
 #[test]
 fn budget_exhaustion_is_structured_and_isolated() {
-    let config = ServeConfig {
-        budgets: ClassBudgets {
-            wire_sizing: 1, // one Krylov iteration: guaranteed exhaustion
-            ..ClassBudgets::default()
-        },
-        ..ServeConfig::default()
-    };
-    let (engine, handle) = engine_with(2, config);
-    let starved = handle.submit(
-        RequestClass::WireSizing,
-        ModelSpec::block_small(),
-        small_params(),
-        1,
-    );
-    let healthy = handle.submit(
-        RequestClass::Campaign,
-        ModelSpec::block_small(),
-        small_params(),
-        2,
-    );
-    match terminal(&starved) {
-        Response::Error { kind, message, .. } => {
-            assert_eq!(kind, ErrorKind::BudgetExhausted);
-            assert!(message.contains("budget"), "message: {message}");
+    for (starved_class, healthy_class) in [
+        (RequestClass::WireSizing, RequestClass::Campaign),
+        (RequestClass::Campaign, RequestClass::WireSizing),
+    ] {
+        // One Krylov iteration: guaranteed exhaustion.
+        let budgets = match starved_class {
+            RequestClass::Campaign => ClassBudgets {
+                campaign: 1,
+                ..ClassBudgets::default()
+            },
+            _ => ClassBudgets {
+                wire_sizing: 1,
+                ..ClassBudgets::default()
+            },
+        };
+        let config = ServeConfig {
+            budgets,
+            ..ServeConfig::default()
+        };
+        let (engine, handle) = engine_with(2, config);
+        let starved = handle.submit(starved_class, ModelSpec::block_small(), small_params(), 1);
+        let healthy = handle.submit(healthy_class, ModelSpec::block_small(), small_params(), 2);
+        match terminal(&starved) {
+            Response::Error { kind, message, .. } => {
+                assert_eq!(kind, ErrorKind::BudgetExhausted, "{starved_class:?}");
+                assert!(message.contains("budget"), "message: {message}");
+            }
+            other => panic!("expected budget error for {starved_class:?}, got {other:?}"),
         }
-        other => panic!("expected budget error, got {other:?}"),
+        match terminal(&healthy) {
+            Response::Result { qoi, .. } => {
+                if healthy_class == RequestClass::Campaign {
+                    assert_eq!(qoi.len(), 3, "campaign returns mean/max/min");
+                }
+            }
+            other => panic!("expected result for {healthy_class:?}, got {other:?}"),
+        }
+        engine.shutdown_and_join();
     }
-    match terminal(&healthy) {
-        Response::Result { qoi, .. } => assert_eq!(qoi.len(), 3, "campaign returns mean/max/min"),
-        other => panic!("expected result, got {other:?}"),
-    }
-    engine.shutdown_and_join();
 }
 
 /// Overflowing the bounded queue sheds jobs with a structured frame; the
@@ -311,6 +322,149 @@ fn qoi_routes_through_registered_surrogate() {
             assert_eq!(served, 2, "both samples screened and served");
         }
         other => panic!("expected surrogate result, got {other:?}"),
+    }
+    engine.shutdown_and_join();
+}
+
+/// With a surrogate tier registered at a tolerance no estimate can clear,
+/// every `qoi` sample falls back to full solves, and those solves run
+/// under the `qoi` class budget.
+#[test]
+fn surrogate_fallback_runs_under_the_qoi_budget() {
+    let config = ServeConfig {
+        budgets: ClassBudgets {
+            qoi: 1,
+            ..ClassBudgets::default()
+        },
+        ..ServeConfig::default()
+    };
+    let (engine, handle) = engine_with(1, config);
+    let spec = ModelSpec::block_small();
+    let xi: Vec<Vec<f64>> = (0..12).map(|i| vec![-2.0 + i as f64 / 3.0]).collect();
+    // Not a polynomial, so held-out residuals (and every error estimate)
+    // stay far above the tolerance.
+    let y: Vec<f64> = xi.iter().map(|p| 300.0 + (3.0 * p[0]).sin()).collect();
+    let surrogate = Surrogate::fit(&xi, &y, 1, SurrogateOptions::default()).expect("fit");
+    engine
+        .register_surrogate(
+            &spec,
+            vec![surrogate],
+            vec![Box::new(Uniform::new(-0.05, 0.05).expect("marginal"))],
+            1e-12,
+            0.5,
+            4,
+        )
+        .expect("register surrogate");
+    let params = JobParams {
+        samples: vec![vec![0.01]],
+        ..small_params()
+    };
+    match terminal(&handle.submit(RequestClass::Qoi, spec, params, 1)) {
+        Response::Error { kind, message, .. } => {
+            assert_eq!(kind, ErrorKind::BudgetExhausted, "message: {message}");
+        }
+        other => panic!("expected budget error, got {other:?}"),
+    }
+    engine.shutdown_and_join();
+}
+
+/// The peak wire temperature on relative elongations `δ`, written out
+/// here independently of the engine's own scenario.
+struct Elongation {
+    nominal: Vec<f64>,
+    t_end: f64,
+    n_steps: usize,
+}
+
+impl Scenario for Elongation {
+    fn apply(&self, session: &mut Session, sample: &[f64]) -> Result<(), CoreError> {
+        for (j, (&length, &delta)) in self.nominal.iter().zip(sample).enumerate() {
+            session.set_wire_length(j, length * (1.0 + delta))?;
+        }
+        Ok(())
+    }
+
+    fn evaluate(&self, session: &mut Session) -> Result<Vec<f64>, CoreError> {
+        let sol = session.run_transient(self.t_end, self.n_steps, &[])?;
+        let peak = (0..sol.n_times())
+            .map(|i| sol.max_wire_temperature_at(i))
+            .fold(f64::NEG_INFINITY, f64::max);
+        Ok(vec![peak])
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Serve answers `fusing` with `find_critical_load` and full-path `qoi`
+/// with `FullSolve`: the replies equal the library's answers on a fresh
+/// session, bit for bit.
+#[test]
+fn fusing_and_qoi_replies_equal_the_library() {
+    let spec = ModelSpec::block_small();
+    let compiled = Arc::new(spec.build().expect("block model compiles"));
+    let (engine, handle) = engine_with(2, ServeConfig::default());
+    let fusing_params = JobParams {
+        threshold: 400.0,
+        ..small_params()
+    };
+    let fusing = handle.submit(RequestClass::Fusing, spec, fusing_params.clone(), 1);
+    let samples = vec![vec![0.02], vec![-0.03], vec![0.0]];
+    let qoi_params = JobParams {
+        samples: samples.clone(),
+        ..small_params()
+    };
+    let qoi = handle.submit(RequestClass::Qoi, spec, qoi_params.clone(), 2);
+
+    let load = find_critical_load(
+        &mut Session::new(Arc::clone(&compiled)),
+        &FusingSearchOptions {
+            t_end: fusing_params.t_end,
+            n_steps: fusing_params.n_steps,
+            threshold: fusing_params.threshold,
+            scale_lo: 1.0,
+            scale_hi: 256.0,
+            tol_rel: 1.0 / 256.0,
+            ..FusingSearchOptions::default()
+        },
+    )
+    .expect("library search");
+    assert!(
+        load.scale > 1.0 && load.bracket.1 < 256.0,
+        "the search must bisect, not saturate: {load:?}"
+    );
+    match terminal(&fusing) {
+        Response::Result {
+            qoi, full_solves, ..
+        } => {
+            assert_eq!(bits(&qoi), bits(&[load.scale, load.bracket.1]));
+            assert_eq!(full_solves, load.runs as u64);
+        }
+        other => panic!("expected fusing result, got {other:?}"),
+    }
+
+    let scenario = Elongation {
+        nominal: compiled
+            .model()
+            .wires()
+            .iter()
+            .map(|w| w.wire.length())
+            .collect(),
+        t_end: qoi_params.t_end,
+        n_steps: qoi_params.n_steps,
+    };
+    let mut full = FullSolve::new(&compiled, &scenario, 1, EnsembleOptions::default());
+    let expected: Vec<f64> = full
+        .evaluate(&samples)
+        .expect("library full solve")
+        .concat();
+    match terminal(&qoi) {
+        Response::Result { qoi, served_by, .. } => {
+            assert_eq!(served_by, "full");
+            assert_eq!(bits(&qoi), bits(&expected));
+        }
+        other => panic!("expected qoi result, got {other:?}"),
     }
     engine.shutdown_and_join();
 }
