@@ -15,10 +15,10 @@
 //! The scheduler guarantees this by construction:
 //!
 //! * a job runs on exactly one worker. `wire_sizing` and `fusing` run on a
-//!   pooled session that is [`etherm_core::Session::reset`] to the
-//!   fresh-session state (nominal wire lengths, unit drive, no cached
-//!   preconditioners) in the job prologue — nothing solved by previous
-//!   tenants can leak in; `campaign` and `qoi` run the ensemble in exact
+//!   pooled session in the fresh-session state (nominal wire lengths, unit
+//!   drive, no cached preconditioners): [`etherm_core::Session::reset`] as
+//!   it returns to the pool, restored parameters in the job prologue —
+//!   nothing solved by previous tenants can leak in; `campaign` and `qoi` run the ensemble in exact
 //!   mode on one thread, so each sample starts from a reset session;
 //! * "warm" reuse is *allocation* reuse (stamping templates, Krylov
 //!   workspaces, pooled sessions, the shared compiled model), never
@@ -180,9 +180,9 @@ impl ModelState {
     }
 
     /// Checks a session out of the pool (or creates one) and restores the
-    /// fresh-simulator state: reset solver caches, nominal wire lengths,
-    /// unit drive, zeroed counters. This prologue is what makes pooled
-    /// sessions indistinguishable from new ones, bit for bit.
+    /// fresh-simulator state: nominal wire lengths, unit drive, zeroed
+    /// counters (solver caches were reset at checkin). This prologue is what
+    /// makes pooled sessions indistinguishable from new ones, bit for bit.
     fn checkout(&self) -> Result<Session, CoreError> {
         let mut session = {
             let mut pool = lock_or_recover(&self.pool);
@@ -194,7 +194,6 @@ impl ModelState {
                 }
             }
         };
-        session.reset();
         session.reset_counters();
         session.set_drive_scale(1.0)?;
         for (j, &length) in nominal_lengths(&self.compiled).iter().enumerate() {
@@ -204,8 +203,11 @@ impl ModelState {
     }
 
     /// Returns a session to the pool, folding its recovery ledger into the
-    /// model's health.
-    fn checkin(&self, session: Session) {
+    /// model's health. The session is reset here rather than at checkout,
+    /// so idle sessions hold no preconditioners while `campaign` and `qoi`
+    /// jobs allocate their own ensemble sessions.
+    fn checkin(&self, mut session: Session) {
+        session.reset();
         self.record(&session.recovery_ledger());
         lock_or_recover(&self.pool).idle.push(session);
     }
