@@ -26,7 +26,7 @@
 //! `--steps S`, `--t-end T`, `--threads T`, `--seed S`, `--mesh-xy`,
 //! `--mesh-z`, `--out PATH`.
 
-use etherm_bench::{arg_f64, arg_flag, arg_usize, arg_value};
+use etherm_bench::{arg_f64, arg_flag, arg_usize, arg_value, json_f64};
 use etherm_bondwire::analytic::{
     allowable_current, onderdonk_fusing_current, preece_fusing_current,
 };
@@ -43,16 +43,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const MOLD_T_CRITICAL: f64 = 523.0;
-
-fn json_f64(v: f64) -> String {
-    if v.is_nan() {
-        "null".into()
-    } else if v.is_infinite() {
-        if v > 0.0 { "1e308".into() } else { "-1e308".into() }
-    } else {
-        format!("{v:.6e}")
-    }
-}
 
 fn levels_json(estimate: &FailureEstimate, indent: &str) -> String {
     estimate

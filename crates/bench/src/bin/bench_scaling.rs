@@ -63,7 +63,7 @@ fn main() {
         ..SolverOptions::default()
     };
     let amg_options = SolverOptions {
-        preconditioner: PrecondKind::amg(),
+        preconditioner: PrecondKind::Amg,
         ..SolverOptions::default()
     };
 

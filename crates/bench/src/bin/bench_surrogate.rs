@@ -29,7 +29,7 @@
 //! `--degree D`, `--n-level N`, `--tail-k K`, `--steps S`, `--t-end T`,
 //! `--threads T`, `--seed S`, `--mesh-xy`, `--mesh-z`, `--out PATH`.
 
-use etherm_bench::{arg_f64, arg_flag, arg_usize, arg_value};
+use etherm_bench::{arg_f64, arg_flag, arg_usize, arg_value, json_f64};
 use etherm_core::{
     run_ensemble, EnsembleOptions, FullSolve, QoiEvaluator, SolverOptions, TransientSolution,
 };
@@ -43,16 +43,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const N_WIRES: usize = 12;
-
-fn json_f64(v: f64) -> String {
-    if v.is_nan() {
-        "null".into()
-    } else if v.is_infinite() {
-        if v > 0.0 { "1e308".into() } else { "-1e308".into() }
-    } else {
-        format!("{v:.6e}")
-    }
-}
 
 fn estimate_json(method: &str, e: &FailureEstimate, full_solves: usize, wall_s: f64) -> String {
     format!(

@@ -46,7 +46,7 @@ fn main() {
 
     let mut lazy = SolverOptions::default();
     lazy.preconditioner = if arg_flag("amg") {
-        PrecondKind::amg()
+        PrecondKind::Amg
     } else {
         PrecondKind::Ic(arg_usize("fill", 1))
     };

@@ -127,6 +127,22 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
+/// Formats a number as a JSON value with 7 significant digits. JSON has no
+/// NaN or infinity: NaN becomes `null` and ±∞ becomes `±1e308`.
+pub fn json_f64(v: f64) -> String {
+    if v.is_nan() {
+        "null".into()
+    } else if v.is_infinite() {
+        if v > 0.0 {
+            "1e308".into()
+        } else {
+            "-1e308".into()
+        }
+    } else {
+        format!("{v:.6e}")
+    }
+}
+
 /// Runs one timed transient (snapshot at `t_end`) and returns the
 /// shared-schema [`RunRecord`] plus the solution — the common core of
 /// `bench_transient` and `bench_scaling`.
@@ -317,5 +333,13 @@ mod tests {
         assert_eq!(escape_json(r#"a\b"c"#), r#"a\\b\"c"#);
         assert_eq!(escape_json("line1\nline2\tend\r"), "line1\\nline2\\tend\\r");
         assert_eq!(escape_json("bell\u{7}"), "bell\\u0007");
+    }
+
+    #[test]
+    fn json_f64_writes_non_finite_values_as_json() {
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "1e308");
+        assert_eq!(json_f64(f64::NEG_INFINITY), "-1e308");
+        assert_eq!(json_f64(1.5), "1.500000e0");
     }
 }

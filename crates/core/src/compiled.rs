@@ -163,8 +163,8 @@ impl CompiledModel {
     }
 
     /// The full heat-capacity diagonal for a given wire set: the frozen
-    /// grid part plus each wire's per-segment capacity (when
-    /// [`SolverOptions::wire_heat_capacity`] is on).
+    /// grid part plus each wire's per-segment capacity `ρc·A·L/n` on its
+    /// internal DoFs.
     pub(crate) fn mass_diag_for(&self, wires: &[crate::model::WireAttachment]) -> Vec<f64> {
         let mut mass = self.grid_mass_diag.clone();
         self.fill_wire_mass(wires, &mut mass);
@@ -178,9 +178,6 @@ impl CompiledModel {
         wires: &[crate::model::WireAttachment],
         mass: &mut [f64],
     ) {
-        if !self.options.wire_heat_capacity {
-            return;
-        }
         for (j, att) in wires.iter().enumerate() {
             let topo = self.layout.topology(j);
             if topo.n_internal() == 0 {

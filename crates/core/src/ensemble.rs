@@ -250,8 +250,8 @@ pub fn run_ensemble<S: Scenario>(
 /// # Errors
 ///
 /// Like [`run_ensemble`]. A group step that fails with a retryable error
-/// (a planned fault, a breakdown, a non-finite or unconverged column, a
-/// stalled Picard loop) is redone member by member on the scalar path,
+/// (a planned fault, a breakdown, a non-finite or unconverged column) is
+/// redone member by member on the scalar path,
 /// with the recovery ladder, `dt`-halving and fault plans; lock step
 /// resumes at the next step. A member that still fails, or a member error
 /// that no rerun can repair (an exhausted iteration budget, an invalid

@@ -17,13 +17,6 @@ pub enum CoreError {
         /// Final residual.
         residual: f64,
     },
-    /// The Picard iteration of a time step did not converge.
-    PicardNotConverged {
-        /// Time step index.
-        step: usize,
-        /// Final relative update.
-        update: f64,
-    },
     /// The model is inconsistent (bad wire attachment, missing material...).
     InvalidModel(String),
     /// A subsystem solve produced or received non-finite values (NaN/Inf)
@@ -80,10 +73,6 @@ impl fmt::Display for CoreError {
             } => write!(
                 f,
                 "{system} solve failed after {iterations} iterations (residual {residual:.3e})"
-            ),
-            CoreError::PicardNotConverged { step, update } => write!(
-                f,
-                "picard iteration of step {step} stalled (relative update {update:.3e})"
             ),
             CoreError::InvalidModel(msg) => write!(f, "invalid model: {msg}"),
             CoreError::NonFinite { system, detail } => {
@@ -143,11 +132,6 @@ mod tests {
             residual: 1.0,
         };
         assert!(e.to_string().contains("thermal"));
-        let e = CoreError::PicardNotConverged {
-            step: 3,
-            update: 0.5,
-        };
-        assert!(e.to_string().contains('3'));
         let e = CoreError::InvalidModel("no wires".into());
         assert!(e.to_string().contains("no wires"));
         assert!(std::error::Error::source(&e).is_none());

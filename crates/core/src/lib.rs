@@ -10,9 +10,11 @@
 //! ```
 //!
 //! with `Q = Q_el + Q_bnd + Q_bw`. Time is discretized by the implicit
-//! Euler method; each step is solved by Picard (fixed-point) iteration with
-//! all temperature-dependent coefficients lagged, which keeps every linear
-//! system symmetric positive definite.
+//! Euler method with a fixed step (the paper: `Δt = 1 s`); each step is
+//! solved by Picard (fixed-point) iteration with all temperature-dependent
+//! coefficients lagged, which keeps every linear system symmetric positive
+//! definite. A step whose Picard loop hits its iteration cap is accepted
+//! and reported as not converged.
 //!
 //! Entry points:
 //!
@@ -38,7 +40,6 @@
 
 #![forbid(unsafe_code)]
 
-mod adaptive;
 mod assembly;
 mod compiled;
 pub mod ensemble;
@@ -53,7 +54,6 @@ pub mod qoi;
 mod session;
 mod solution;
 
-pub use adaptive::AdaptiveOptions;
 pub use compiled::CompiledModel;
 pub use ensemble::{
     run_ensemble, run_ensemble_batched, BatchScenario, EnsembleOptions, EnsembleResult,

@@ -1,6 +1,6 @@
 //! Solver configuration.
 
-use etherm_numerics::solvers::CgOptions;
+use etherm_numerics::solvers::{AmgOptions, CgOptions};
 
 /// Which Joule-heat quadrature feeds the thermal right-hand side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -17,8 +17,6 @@ pub enum JouleScheme {
 /// Preconditioner selection for the inner CG solves.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrecondKind {
-    /// No preconditioning (plain CG).
-    None,
     /// Diagonal (Jacobi) scaling — robust for the huge σ contrasts.
     Jacobi,
     /// Incomplete Cholesky with structural fill level `k`: `Ic(0)` is the
@@ -26,43 +24,31 @@ pub enum PrecondKind {
     /// cuts CG iterations substantially — worthwhile now that factorizations
     /// are cached and refreshed lazily instead of rebuilt every solve.
     Ic(usize),
-    /// Symmetric SOR with the given relaxation factor.
-    Ssor(f64),
-    /// Smoothed-aggregation algebraic multigrid V-cycle: near-mesh-
-    /// independent CG iteration counts at a higher per-iteration cost —
-    /// the preconditioner of choice once the FIT grid is refined past the
-    /// paper resolution. The hierarchy honors the same frozen-skeleton
-    /// `refresh` contract as the incomplete factorizations, so it slots
-    /// into the lazy per-subsystem cache unchanged.
-    Amg {
-        /// Strength-of-connection threshold θ of the aggregation
-        /// (`|a_ij| ≥ θ·√(a_ii·a_jj)`); halved automatically per level.
-        theta: f64,
-        /// Relaxation factor of the symmetric Gauss–Seidel/SOR smoother
-        /// pair (forward pre-sweep, backward post-sweep).
-        omega: f64,
-    },
+    /// Smoothed-aggregation algebraic multigrid V-cycle with
+    /// [`AmgOptions::default`] (θ = 0.08, one symmetric Gauss–Seidel sweep):
+    /// near-mesh-independent CG iteration counts at a higher per-iteration
+    /// cost — the preconditioner of choice once the FIT grid is refined
+    /// past the paper resolution. The hierarchy honors the same
+    /// frozen-skeleton `refresh` contract as the incomplete factorizations,
+    /// so it slots into the lazy per-subsystem cache unchanged.
+    Amg,
 }
 
 impl PrecondKind {
-    /// Smoothed-aggregation AMG with the standard knobs (θ = 0.08,
-    /// Gauss–Seidel smoothing).
-    pub fn amg() -> Self {
-        PrecondKind::Amg {
-            theta: 0.08,
-            omega: 1.0,
-        }
-    }
-
     /// Short human/machine-readable name for benchmark records
-    /// (e.g. `"ic(1)"`, `"amg(theta=0.08,omega=1)"`).
+    /// (e.g. `"ic(1)"`; `Amg` prints the θ and ω of
+    /// [`AmgOptions::default`], `"amg(theta=0.08,omega=1)"`).
     pub fn describe(&self) -> String {
         match self {
-            PrecondKind::None => "none".into(),
             PrecondKind::Jacobi => "jacobi".into(),
             PrecondKind::Ic(level) => format!("ic({level})"),
-            PrecondKind::Ssor(omega) => format!("ssor({omega})"),
-            PrecondKind::Amg { theta, omega } => format!("amg(theta={theta},omega={omega})"),
+            PrecondKind::Amg => {
+                let amg = AmgOptions::default();
+                format!(
+                    "amg(theta={},omega={})",
+                    amg.strength_theta, amg.smoother.omega
+                )
+            }
         }
     }
 }
@@ -86,8 +72,9 @@ impl Default for PrecondKind {
 ///    catches transient contamination without touching the preconditioner,
 ///    so a successful retry is bit-identical to an undisturbed solve;
 /// 2. forced preconditioner refresh (in place, frozen pattern);
-/// 3. preconditioner downgrade (`Amg` → `Ic(1)` → `Jacobi`), sticky for the
-///    rest of the session until the cache is cleared;
+/// 3. preconditioner downgrade (`Amg` → `Ic(1)` → `Jacobi`; every `Ic(k)`
+///    falls to `Jacobi`, the bottom rung), sticky for the rest of the
+///    session until the cache is cleared;
 /// 4. at the step level, halve `dt` and redo the step as two sub-steps
 ///    (`max_dt_halvings` levels of recursion).
 ///
@@ -160,12 +147,6 @@ pub struct SolverOptions {
     pub picard_max_iter: usize,
     /// Joule-heat quadrature.
     pub joule: JouleScheme,
-    /// Whether wire-internal DoFs carry their segment heat capacity
-    /// (`ρc·A·L/n` each). The paper's lumped element is massless; the
-    /// capacity is tiny but improves conditioning of multi-segment chains.
-    pub wire_heat_capacity: bool,
-    /// Fail the run (instead of warning) when Picard stalls.
-    pub strict_picard: bool,
     /// Re-solve the electrical subsystem in *every* Picard iteration
     /// (strong coupling). When `false`, the potential is computed once per
     /// time step and lagged through the remaining Picard iterations — the
@@ -247,8 +228,6 @@ impl Default for SolverOptions {
             picard_tol: 1e-7,
             picard_max_iter: 25,
             joule: JouleScheme::CellBased,
-            wire_heat_capacity: true,
-            strict_picard: false,
             resolve_electrical_every_picard: true,
             precond_refresh_factor: 1.5,
             precond_max_reuses: 64,
@@ -283,7 +262,7 @@ impl SolverOptions {
     /// rather than the CG tolerance.
     pub fn uq() -> Self {
         SolverOptions {
-            preconditioner: PrecondKind::amg(),
+            preconditioner: PrecondKind::Amg,
             picard_forcing: true,
             ..SolverOptions::default()
         }
@@ -317,7 +296,6 @@ mod tests {
         assert_eq!(o.preconditioner, PrecondKind::Ic(1));
         assert!(o.picard_tol > 0.0 && o.picard_tol < 1e-3);
         assert!(o.picard_max_iter >= 10);
-        assert!(o.wire_heat_capacity);
         assert!(o.precond_refresh_factor > 1.0);
         assert!(o.precond_max_reuses > 0);
         assert_eq!(o.batch_width, 0, "batching must be opt-in");
@@ -339,14 +317,9 @@ mod tests {
 
     #[test]
     fn precond_names_are_stable() {
-        assert_eq!(PrecondKind::None.describe(), "none");
         assert_eq!(PrecondKind::Jacobi.describe(), "jacobi");
         assert_eq!(PrecondKind::Ic(1).describe(), "ic(1)");
-        assert_eq!(PrecondKind::Ssor(1.2).describe(), "ssor(1.2)");
-        assert_eq!(
-            PrecondKind::amg().describe(),
-            "amg(theta=0.08,omega=1)"
-        );
+        assert_eq!(PrecondKind::Amg.describe(), "amg(theta=0.08,omega=1)");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! * [`sparse`] — COO assembly and CSR storage with matrix-vector kernels,
 //! * [`multivec`] — column-major `n × k` panels and fused multi-RHS kernels
 //!   for the batched (block) Krylov path,
-//! * [`solvers`] — CG/PCG and block CG with Jacobi, IC(0), SSOR and
-//!   smoothed-aggregation AMG preconditioners, and a Thomas tridiagonal
-//!   solver.
+//! * [`solvers`] — CG/PCG and block CG with Jacobi, incomplete Cholesky
+//!   and smoothed-aggregation AMG preconditioners, and a Thomas
+//!   tridiagonal solver.
 //!
 //! # Example
 //!

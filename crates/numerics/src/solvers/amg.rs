@@ -68,28 +68,25 @@ use crate::solvers::Preconditioner;
 use crate::sparse::{Coo, Csr};
 use std::cell::RefCell;
 
-/// Smoother applied before and after each coarse-grid correction.
+/// Successive over-relaxation smoother applied before and after each
+/// coarse-grid correction (an SSOR splitting of the V-cycle).
 ///
 /// The forward pre-sweeps are mirrored by backward post-sweeps, so the
 /// V-cycle is *symmetric*. The first pre-sweep of each level starts from a
 /// zero iterate and reads only the strictly lower triangle; it gives the
 /// same bits as a full sweep over that zero iterate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AmgSmoother {
-    /// Successive over-relaxation: forward sweeps before, backward sweeps
-    /// after the coarse-grid correction (an SSOR splitting of the V-cycle).
-    Ssor {
-        /// Relaxation factor in `(0, 2)`; `1.0` is Gauss–Seidel.
-        omega: f64,
-        /// Sweeps per pre-/post-smoothing phase.
-        sweeps: usize,
-    },
+pub struct AmgSmoother {
+    /// Relaxation factor in `(0, 2)`; `1.0` is Gauss–Seidel.
+    pub omega: f64,
+    /// Sweeps per pre-/post-smoothing phase.
+    pub sweeps: usize,
 }
 
 impl Default for AmgSmoother {
     fn default() -> Self {
         // A symmetric Gauss–Seidel pair is the classic workhorse.
-        AmgSmoother::Ssor {
+        AmgSmoother {
             omega: 1.0,
             sweeps: 1,
         }
@@ -544,7 +541,7 @@ impl AmgPrecond {
                 "amg: dimension exceeds u32 aggregate index range".into(),
             ));
         }
-        let AmgSmoother::Ssor { omega, sweeps } = options.smoother;
+        let AmgSmoother { omega, sweeps } = options.smoother;
         if !(0.0..2.0).contains(&omega) || omega == 0.0 || sweeps == 0 {
             return Err(NumericsError::InvalidArgument(format!(
                 "amg: sor smoother needs omega in (0, 2) and sweeps > 0, \
@@ -1114,7 +1111,7 @@ impl Level {
     /// One pre- (`pre = true`: forward sweeps over the `x` the V-cycle has
     /// just zeroed) or post-smoothing (backward sweeps) phase on this level.
     fn smooth(&self, options: &AmgOptions, b: &[f64], x: &mut [f64], pre: bool) {
-        let AmgSmoother::Ssor { omega, sweeps } = options.smoother;
+        let AmgSmoother { omega, sweeps } = options.smoother;
         for index in 0..sweeps {
             let sweep = Sweep::of_phase(pre, index);
             sor_sweep(&self.a, &self.diag, b, x, omega, sweep);
@@ -1132,7 +1129,7 @@ impl Level {
         scratch: &mut MultiVec,
         pre: bool,
     ) {
-        let AmgSmoother::Ssor { omega, sweeps } = options.smoother;
+        let AmgSmoother { omega, sweeps } = options.smoother;
         for index in 0..sweeps {
             let sweep = Sweep::of_phase(pre, index);
             sor_sweep_block(&self.a, &self.diag, b, x, scratch, omega, sweep);
@@ -1237,11 +1234,11 @@ mod tests {
         let a = lap3d(6, 0.3);
         let n = a.n_rows();
         for smoother in [
-            AmgSmoother::Ssor {
+            AmgSmoother {
                 omega: 1.0,
                 sweeps: 1,
             },
-            AmgSmoother::Ssor {
+            AmgSmoother {
                 omega: 1.3,
                 sweeps: 2,
             },
@@ -1322,7 +1319,7 @@ mod tests {
         for opts in [
             AmgOptions::default(),
             AmgOptions {
-                smoother: AmgSmoother::Ssor {
+                smoother: AmgSmoother {
                     omega: 1.3,
                     sweeps: 2,
                 },
@@ -1488,9 +1485,9 @@ mod tests {
     fn rejects_invalid_smoother_parameters() {
         let a = lap3d(4, 0.3);
         for smoother in [
-            AmgSmoother::Ssor { omega: 0.0, sweeps: 1 },
-            AmgSmoother::Ssor { omega: 2.0, sweeps: 1 },
-            AmgSmoother::Ssor { omega: 1.0, sweeps: 0 },
+            AmgSmoother { omega: 0.0, sweeps: 1 },
+            AmgSmoother { omega: 2.0, sweeps: 1 },
+            AmgSmoother { omega: 1.0, sweeps: 0 },
         ] {
             let opts = AmgOptions { smoother, ..AmgOptions::default() };
             assert!(

@@ -412,7 +412,7 @@ pub fn block_pcg_with<A: BlockLinOp + ?Sized, P: Preconditioner + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::precond::{IncompleteCholesky, JacobiPrecond, Ssor};
+    use crate::solvers::precond::{IncompleteCholesky, JacobiPrecond};
     use crate::solvers::workspace::KrylovWorkspace;
     use crate::solvers::{pcg_with, AmgOptions, AmgPrecond};
     use crate::sparse::{Coo, Csr, CsrBatch};
@@ -506,9 +506,8 @@ mod tests {
         let n = a.n_rows();
         let opts = CgOptions::default();
         let ic = IncompleteCholesky::with_fill(&a, 1).unwrap();
-        let ssor = Ssor::new(&a, 1.2).unwrap();
         let amg = AmgPrecond::new(&a, AmgOptions::default()).unwrap();
-        let ps: [&dyn Preconditioner; 3] = [&ic, &ssor, &amg];
+        let ps: [&dyn Preconditioner; 2] = [&ic, &amg];
         for (pi, p) in ps.iter().enumerate() {
             for k in [2usize, 5] {
                 let b = rhs_panel(n, k);

@@ -219,7 +219,7 @@ pub fn pcg_with<A: LinOp + ?Sized, P: Preconditioner + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::{IncompleteCholesky, JacobiPrecond, Ssor};
+    use crate::solvers::{IncompleteCholesky, JacobiPrecond};
     use crate::sparse::{Coo, Csr};
 
     fn lap1d(n: usize) -> Csr {
@@ -276,11 +276,6 @@ mod tests {
         // IC(0) is exact Cholesky for a tridiagonal matrix: 1-2 iterations.
         assert!(r2.iterations <= 2, "ic0 iterations: {}", r2.iterations);
 
-        let mut x = vec![0.0; n];
-        let ssor = Ssor::new(&a, 1.2).unwrap();
-        let r3 = pcg(&a, &b, &mut x, &ssor, &opts).unwrap();
-        assert!(r3.converged);
-        check_solution(&a, &b, &x, 1e-8);
         // Preconditioning should beat plain CG in iteration count.
         let mut x = vec![0.0; n];
         let r0 = cg(&a, &b, &mut x, &opts).unwrap();

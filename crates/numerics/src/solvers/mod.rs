@@ -5,8 +5,8 @@
 //! definite after Dirichlet elimination (Laplacian + diagonal Robin terms +
 //! symmetric two-terminal wire stamps), so preconditioned conjugate gradients
 //! is the only Krylov method: [`pcg`] for one right-hand side,
-//! [`block_pcg_with`] for a panel of them, preconditioned by Jacobi, IC(0),
-//! SSOR or [`AmgPrecond`]. [`solve_tridiagonal`] serves the 1D analytic wire
+//! [`block_pcg_with`] for a panel of them, preconditioned by Jacobi,
+//! incomplete Cholesky or [`AmgPrecond`]. [`solve_tridiagonal`] serves the 1D analytic wire
 //! chains.
 
 mod amg;
@@ -21,7 +21,7 @@ pub use amg::{AmgOptions, AmgPrecond, AmgSmoother};
 pub use block_cg::block_pcg_with;
 pub use cg::{cg, pcg, pcg_with, CgOptions};
 pub use fault::{Fault, FaultInjector, FaultKind, FaultPlan, FaultyLinOp};
-pub use precond::{IdentityPrecond, IncompleteCholesky, JacobiPrecond, Preconditioner, Ssor};
+pub use precond::{IdentityPrecond, IncompleteCholesky, JacobiPrecond, Preconditioner};
 pub use tridiag::solve_tridiagonal;
 pub use workspace::{BlockKrylovWorkspace, KrylovWorkspace};
 

@@ -1,7 +1,7 @@
 //! Preconditioners for the Krylov solvers.
 //!
-//! All three matrix-based preconditioners ([`JacobiPrecond`],
-//! [`IncompleteCholesky`], [`Ssor`]) own their data and expose a
+//! Both matrix-based preconditioners ([`JacobiPrecond`],
+//! [`IncompleteCholesky`]) own their data and expose a
 //! `refresh(&Csr)` method that re-factors **in place** over the frozen
 //! sparsity pattern: the transient simulator assembles the same pattern every
 //! Picard iterate (values-only restamping), so a cached preconditioner can
@@ -28,7 +28,7 @@ pub trait Preconditioner {
     /// The default loops [`Preconditioner::apply`] over the columns, staging
     /// each one through freshly allocated contiguous buffers (the panel is
     /// row-interleaved). Preconditioners whose application is a sparse row
-    /// traversal ([`IncompleteCholesky`], [`Ssor`], the AMG V-cycle)
+    /// traversal ([`IncompleteCholesky`], the AMG V-cycle)
     /// override it with a fused interleaved kernel that reads each row's
     /// indices once for the whole panel — and stays allocation-free.
     /// Overrides must keep each column bit-identical to the scalar
@@ -603,194 +603,6 @@ impl Preconditioner for IncompleteCholesky {
     }
 }
 
-/// Symmetric successive over-relaxation preconditioner.
-///
-/// `M = ω/(2−ω) · (D/ω + L) D⁻¹ (D/ω + U)` applied via one forward and one
-/// backward triangular sweep. The preconditioner owns a copy of the matrix,
-/// so it can live in long-lived caches; [`Ssor::refresh`] updates the copy
-/// in place over the frozen sparsity pattern.
-#[derive(Debug, Clone)]
-pub struct Ssor {
-    a: Csr,
-    inv_diag: Vec<f64>,
-    omega: f64,
-}
-
-impl Ssor {
-    /// Builds an SSOR preconditioner with relaxation factor `omega ∈ (0, 2)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::InvalidArgument`] for `omega` outside `(0,2)`
-    /// and [`NumericsError::FactorizationFailed`] for zero diagonal entries.
-    pub fn new(a: &Csr, omega: f64) -> Result<Self, NumericsError> {
-        if !(0.0..2.0).contains(&omega) || omega == 0.0 {
-            return Err(NumericsError::InvalidArgument(format!(
-                "ssor: omega must be in (0, 2), got {omega}"
-            )));
-        }
-        let mut p = Ssor {
-            a: a.clone(),
-            inv_diag: vec![0.0; a.n_rows()],
-            omega,
-        };
-        p.refresh_diag()?;
-        Ok(p)
-    }
-
-    /// The relaxation factor in use.
-    pub fn omega(&self) -> f64 {
-        self.omega
-    }
-
-    /// Updates the owned matrix copy and inverse diagonal from `a` in place
-    /// (no allocation). The sparsity pattern must match the one the
-    /// preconditioner was built with.
-    ///
-    /// On error the stored state may be partially updated; callers should
-    /// rebuild from scratch (the simulator's cache does).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::InvalidArgument`] on a pattern mismatch and
-    /// [`NumericsError::FactorizationFailed`] on zero diagonal entries.
-    pub fn refresh(&mut self, a: &Csr) -> Result<(), NumericsError> {
-        if !self.a.same_pattern(a) {
-            return Err(NumericsError::InvalidArgument(
-                "ssor refresh: sparsity pattern of the matrix changed".into(),
-            ));
-        }
-        self.a.values_mut().copy_from_slice(a.values());
-        self.refresh_diag()
-    }
-
-    fn refresh_diag(&mut self) -> Result<(), NumericsError> {
-        for i in 0..self.a.n_rows() {
-            let d = self.a.get(i, i);
-            if d == 0.0 || !d.is_finite() {
-                return Err(NumericsError::FactorizationFailed {
-                    kind: "ssor",
-                    index: i,
-                });
-            }
-            self.inv_diag[i] = 1.0 / d;
-        }
-        Ok(())
-    }
-}
-
-impl Preconditioner for Ssor {
-    fn dim(&self) -> usize {
-        self.a.n_rows()
-    }
-
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        // M⁻¹ = (2−ω)/ω · (D/ω + U)⁻¹ · D · (D/ω + L)⁻¹
-        let n = self.a.n_rows();
-        let w = self.omega;
-        // Forward sweep: t = (D/ω + L)⁻¹ r, stored in z.
-        for i in 0..n {
-            let (cols, vals) = self.a.row(i);
-            let mut s = r[i];
-            for (&j, &v) in cols.iter().zip(vals) {
-                if j >= i {
-                    break;
-                }
-                s -= v * z[j];
-            }
-            z[i] = s * self.inv_diag[i] * w;
-        }
-        // Scale: u = D t.
-        for i in 0..n {
-            z[i] /= self.inv_diag[i];
-        }
-        // Backward sweep: z = (D/ω + U)⁻¹ u.
-        for i in (0..n).rev() {
-            let (cols, vals) = self.a.row(i);
-            let mut s = z[i];
-            for (&j, &v) in cols.iter().zip(vals).rev() {
-                if j <= i {
-                    break;
-                }
-                s -= v * z[j];
-            }
-            z[i] = s * self.inv_diag[i] * w;
-        }
-        let scale = (2.0 - w) / w;
-        for zi in z.iter_mut() {
-            *zi *= scale;
-        }
-    }
-
-    fn apply_block(&self, r: &MultiVec, z: &mut MultiVec) {
-        // Fused sweeps over the owned matrix and the interleaved panel: each
-        // row's indices are loaded once for the whole panel, with the scalar
-        // per-column operation order preserved exactly (bit-identical
-        // results).
-        let n = self.a.n_rows();
-        debug_assert_eq!(r.n_rows(), n);
-        debug_assert_eq!(z.n_rows(), n);
-        assert_eq!(r.n_cols(), z.n_cols(), "apply_block: panel widths");
-        let w = self.omega;
-        let k = r.n_cols();
-        if k == 0 {
-            return;
-        }
-        let rs = r.as_slice();
-        let zs = z.as_mut_slice();
-        // Forward sweep: t = (D/ω + L)⁻¹ r, stored in z.
-        for i in 0..n {
-            let (cols, vals) = self.a.row(i);
-            let (done, rest) = zs.split_at_mut(i * k);
-            let zrow = &mut rest[..k];
-            zrow.copy_from_slice(&rs[i * k..(i + 1) * k]);
-            for (&j, &v) in cols.iter().zip(vals) {
-                if j >= i {
-                    break;
-                }
-                let zj = &done[j * k..j * k + k];
-                for (zv, pv) in zrow.iter_mut().zip(zj) {
-                    *zv -= v * pv;
-                }
-            }
-            let d = self.inv_diag[i];
-            for zv in zrow.iter_mut() {
-                *zv = *zv * d * w;
-            }
-        }
-        // Scale: u = D t.
-        for (zrow, &d) in zs.chunks_exact_mut(k).zip(&self.inv_diag) {
-            for zv in zrow.iter_mut() {
-                *zv /= d;
-            }
-        }
-        // Backward sweep: z = (D/ω + U)⁻¹ u.
-        for i in (0..n).rev() {
-            let (cols, vals) = self.a.row(i);
-            let (head, above) = zs.split_at_mut((i + 1) * k);
-            let zrow = &mut head[i * k..];
-            for (&j, &v) in cols.iter().zip(vals).rev() {
-                if j <= i {
-                    break;
-                }
-                let off = (j - i - 1) * k;
-                let zj = &above[off..off + k];
-                for (zv, pv) in zrow.iter_mut().zip(zj) {
-                    *zv -= v * pv;
-                }
-            }
-            let d = self.inv_diag[i];
-            for zv in zrow.iter_mut() {
-                *zv = *zv * d * w;
-            }
-        }
-        let scale = (2.0 - w) / w;
-        for zv in zs.iter_mut() {
-            *zv *= scale;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,43 +783,13 @@ mod tests {
     }
 
     #[test]
-    fn ssor_validates_omega() {
-        let a = lap1d(3);
-        assert!(Ssor::new(&a, 0.0).is_err());
-        assert!(Ssor::new(&a, 2.0).is_err());
-        let p = Ssor::new(&a, 1.0).unwrap();
-        assert_eq!(p.omega(), 1.0);
-    }
-
-    #[test]
-    fn ssor_apply_is_spd_like() {
-        // M⁻¹ should be symmetric positive definite; check zᵀr > 0 for
-        // a few directions (necessary condition) and symmetry via dot
-        // products: r1ᵀ M⁻¹ r2 == r2ᵀ M⁻¹ r1.
-        let a = lap1d(5);
-        let p = Ssor::new(&a, 1.3).unwrap();
-        let r1 = [1.0, 0.0, -2.0, 0.5, 1.0];
-        let r2 = [0.0, 1.0, 1.0, -1.0, 2.0];
-        let mut z1 = [0.0; 5];
-        let mut z2 = [0.0; 5];
-        p.apply(&r1, &mut z1);
-        p.apply(&r2, &mut z2);
-        let d11 = crate::vector::dot(&r1, &z1);
-        assert!(d11 > 0.0);
-        let d12 = crate::vector::dot(&r1, &z2);
-        let d21 = crate::vector::dot(&r2, &z1);
-        assert!((d12 - d21).abs() < 1e-10 * d12.abs().max(1.0), "{d12} {d21}");
-    }
-
-    #[test]
     fn apply_block_is_bit_identical_to_scalar_apply() {
         let a = lap2d(8);
         let n = a.n_rows();
         let jacobi = JacobiPrecond::new(&a).unwrap();
         let ic = IncompleteCholesky::with_fill(&a, 1).unwrap();
-        let ssor = Ssor::new(&a, 1.3).unwrap();
         let ident = IdentityPrecond::new(n);
-        let ps: [&dyn Preconditioner; 4] = [&jacobi, &ic, &ssor, &ident];
+        let ps: [&dyn Preconditioner; 3] = [&jacobi, &ic, &ident];
         for k in [1usize, 2, 32, 33] {
             let mut r = MultiVec::zeros(n, k);
             for j in 0..k {
@@ -1026,32 +808,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ssor_owns_data_and_refreshes() {
-        // The preconditioner must stay valid after the source matrix is
-        // dropped, and refresh must track new values over the same pattern.
-        let p = {
-            let a = lap2d(4);
-            Ssor::new(&a, 1.2).unwrap()
-        };
-        let n = p.dim();
-        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut z = vec![0.0; n];
-        p.apply(&r, &mut z); // does not read the dropped source
-
-        let a = lap2d(4);
-        let mut p = Ssor::new(&a, 1.2).unwrap();
-        let mut a2 = a.clone();
-        a2.scale(3.0);
-        p.refresh(&a2).unwrap();
-        let fresh = Ssor::new(&a2, 1.2).unwrap();
-        let mut z1 = vec![0.0; n];
-        let mut z2 = vec![0.0; n];
-        p.apply(&r, &mut z1);
-        fresh.apply(&r, &mut z2);
-        assert_eq!(z1, z2);
-        assert!(p.refresh(&lap1d(n)).is_err(), "pattern change rejected");
     }
 }

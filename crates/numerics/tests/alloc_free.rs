@@ -7,7 +7,7 @@
 
 use etherm_numerics::solvers::{
     pcg_with, AmgOptions, AmgPrecond, CgOptions, IncompleteCholesky, JacobiPrecond,
-    KrylovWorkspace, Preconditioner, Ssor,
+    KrylovWorkspace, Preconditioner,
 };
 use etherm_numerics::sparse::{Coo, Csr};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -97,12 +97,11 @@ fn pcg_is_allocation_free_after_warmup() {
     let opts = CgOptions::with_tol(1e-10);
     let mut ws = KrylovWorkspace::new();
 
-    for precond_name in ["ic1", "jacobi", "ssor"] {
+    for precond_name in ["ic1", "jacobi"] {
         // Build preconditioners outside the counted region (construction may
         // allocate; refresh and apply must not).
         let ic = IncompleteCholesky::with_fill(&a, 1).unwrap();
         let jac = JacobiPrecond::new(&a).unwrap();
-        let ssor = Ssor::new(&a, 1.2).unwrap();
 
         // Warm-up solve sizes the workspace.
         let mut x = vec![0.0; n];
@@ -114,8 +113,7 @@ fn pcg_is_allocation_free_after_warmup() {
             x.fill(0.0);
             let rep = match precond_name {
                 "ic1" => pcg_with(&a, &b, &mut x, &ic, &opts, &mut ws).unwrap(),
-                "jacobi" => pcg_with(&a, &b, &mut x, &jac, &opts, &mut ws).unwrap(),
-                _ => pcg_with(&a, &b, &mut x, &ssor, &opts, &mut ws).unwrap(),
+                _ => pcg_with(&a, &b, &mut x, &jac, &opts, &mut ws).unwrap(),
             };
             assert!(rep.converged);
             solved += rep.iterations;
@@ -136,12 +134,10 @@ fn preconditioner_refresh_is_allocation_free() {
     a2.scale(1.5);
     let mut ic = IncompleteCholesky::with_fill(&a, 1).unwrap();
     let mut jac = JacobiPrecond::new(&a).unwrap();
-    let mut ssor = Ssor::new(&a, 1.1).unwrap();
 
     let before = allocations();
     ic.refresh(&a2).unwrap();
     jac.refresh(&a2).unwrap();
-    ssor.refresh(&a2).unwrap();
     assert_eq!(allocations() - before, 0, "refresh allocated");
 }
 
@@ -219,7 +215,6 @@ fn block_path_is_allocation_free_after_warmup() {
     // counted region (construction may allocate; apply must not).
     let jac = JacobiPrecond::new(&mats_owned[0]).unwrap();
     let ic = IncompleteCholesky::with_fill(&mats_owned[0], 1).unwrap();
-    let ssor = Ssor::new(&mats_owned[0], 1.2).unwrap();
     let amg = AmgPrecond::new(&mats_owned[0], AmgOptions::default()).unwrap();
     let op = CsrBatch::new(mats.clone());
     // The session hot loop re-packs per solve into a cached buffer and
@@ -245,11 +240,10 @@ fn block_path_is_allocation_free_after_warmup() {
     assert_eq!(op_packed.width(), k);
     assert_eq!(allocations() - before, 0, "fused spmm or value re-pack allocated");
 
-    // Batched preconditioner application, all four kinds.
+    // Batched preconditioner application, all three kinds.
     let before = allocations();
     jac.apply_block(&b, &mut y);
     ic.apply_block(&b, &mut y);
-    ssor.apply_block(&b, &mut y);
     amg.apply_block(&b, &mut y);
     assert_eq!(
         allocations() - before,

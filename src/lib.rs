@@ -8,7 +8,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`numerics`] | sparse/dense linear algebra, CG/PCG/block CG with IC/SSOR/AMG preconditioners, quadrature, interpolation |
+//! | [`numerics`] | sparse/dense linear algebra, CG/PCG/block CG with Jacobi/IC/AMG preconditioners, quadrature, interpolation |
 //! | [`grid`] | 3D tensor-product hexahedral primal/dual grid pair (FIT) |
 //! | [`materials`] | temperature-dependent σ(T), λ(T), ρc models (laws + tabulated curves) |
 //! | [`fit`] | FIT material matrices, Laplacians, boundary operators, Joule heat, electroquasistatics |

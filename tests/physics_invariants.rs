@@ -174,19 +174,3 @@ fn stationary_limit_matches_long_transient() {
         "transient end {t_end} K vs stationary {t_stat} K"
     );
 }
-
-#[test]
-fn adaptive_matches_fixed_step() {
-    let model = two_pad_model(20e-3);
-    let mut session = open_session(&model, SolverOptions::default());
-    let fixed = session.run_transient(10.0, 100, &[]).unwrap();
-    let adaptive = session
-        .run_transient_adaptive(10.0, &etherm::core::AdaptiveOptions::default())
-        .unwrap();
-    let t_fixed = *fixed.wire_series(0).last().unwrap();
-    let t_adapt = *adaptive.wire_series(0).last().unwrap();
-    assert!(
-        (t_fixed - t_adapt).abs() < 0.1 * (t_fixed - 300.0).max(0.01),
-        "fixed {t_fixed} K vs adaptive {t_adapt} K"
-    );
-}
