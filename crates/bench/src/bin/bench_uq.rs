@@ -2,7 +2,7 @@
 //! session-reuse (the compile-once/run-many ensemble engine) against the
 //! historical rebuild-per-sample driver.
 //!
-//! Four configurations evaluate the *same* elongation design (same seed) on
+//! Three configurations evaluate the *same* elongation design (same seed) on
 //! the paper package at the same thread count, all with tight (default)
 //! solver tolerances so their physics must agree to ~1e-7 K:
 //!
@@ -11,23 +11,19 @@
 //!    per sample. This is what a UQ campaign cost before session reuse.
 //! 2. `rebuild amg` — the same per-sample rebuild with the UQ solver
 //!    profile (`SolverOptions::uq()`): isolates the preconditioner effect.
-//! 3. `session exact` — the ensemble engine in exact mode: compiled once,
-//!    one session per worker, `reset()` between samples. Must be
-//!    *bit-identical* to configuration 2 (asserted).
-//! 4. `session warm` — the ensemble engine with warm sessions:
-//!    preconditioners refreshed across samples and thermal CG warm-started
-//!    from the previous sample's trajectory. The headline configuration
-//!    before batching.
-//! 5. (`--batched`) `ensemble batched` — the multi-RHS fast path:
+//! 3. `session exact` — the ensemble engine: compiled once, one session
+//!    per worker, `reset()` between samples. Must be *bit-identical* to
+//!    configuration 2 (asserted).
+//! 4. (`--batched`) `ensemble batched` — the multi-RHS fast path:
 //!    samples grouped into panels of `--batch-width`, each group advanced
 //!    in lock-step with one fused block-Krylov solve per subsystem and
 //!    Picard iterate over a group-shared preconditioner
 //!    (`etherm_core::run_ensemble_batched`).
 //!
-//! Gates (full profile): `session warm` ≥ 1.5× faster than `rebuild ic(1)`
+//! Gates (full profile): `session exact` ≥ 1.5× faster than `rebuild ic(1)`
 //! and max |ΔQoI| between them ≤ 1.5e-7 K; `session exact` ≡ `rebuild amg`
-//! bitwise; with `--batched`, batched ≥ 1.8× faster than `session warm`,
-//! max |ΔQoI| batched vs warm ≤ 1.5e-7 K, batched outputs bit-identical
+//! bitwise; with `--batched`, batched ≥ 1.8× faster than `session exact`,
+//! max |ΔQoI| batched vs exact ≤ 1.5e-7 K, batched outputs bit-identical
 //! across 1/2/4 worker threads, and the k = 1 block solver bit-identical
 //! to the scalar PCG.
 //!
@@ -176,7 +172,7 @@ fn main() {
     let mut gen = MonteCarloSampler::new(seed);
     let inputs = draw_samples(&mut gen, &dists, samples);
 
-    // Campaign solver profile, applied to all four configurations:
+    // Campaign solver profile, applied to every configuration:
     //
     // * Fixed outer iteration count (picard_tol = 0, 6 iterates per step,
     //   fully converged: the update contracts ~16× per iterate on this
@@ -194,8 +190,8 @@ fn main() {
     //   forcing's convergence guard never applies, and a 1e-4 second
     //   iterate contracted only four more times leaves ~7e-7 K between
     //   configurations, past the gate. Forcing also removes most of the
-    //   thermal CG work that warm starts and panels save, which is what
-    //   this bench measures.
+    //   thermal CG work that panels save, which is what this bench
+    //   measures.
     //
     // Every configuration pays identically, so the speedups are unaffected.
     let campaign = |mut o: SolverOptions| {
@@ -222,7 +218,7 @@ fn main() {
         rebuild_campaign(&built, &inputs, t_end, steps, threads, &opts_uq);
     eprintln!("rebuild amg:    {w_rebuild_amg:.2} s");
 
-    // 3. + 4. Session reuse through the ensemble engine.
+    // 3. Session reuse through the ensemble engine.
     let compiled = Arc::new(built.compile(opts_uq.clone()).expect("compiles"));
     let scenario = built.elongation_scenario(t_end, steps, flatten_wire_series);
     let start = Instant::now();
@@ -232,31 +228,14 @@ fn main() {
         &inputs,
         &EnsembleOptions {
             n_threads: threads,
-            warm_start: false,
-            progress: None,
             ..EnsembleOptions::default()
         },
     )
     .expect("exact ensemble");
     let w_exact = start.elapsed().as_secs_f64();
     eprintln!("session exact:  {w_exact:.2} s");
-    let start = Instant::now();
-    let warm = run_ensemble(
-        &compiled,
-        &scenario,
-        &inputs,
-        &EnsembleOptions {
-            n_threads: threads,
-            warm_start: true,
-            progress: None,
-            ..EnsembleOptions::default()
-        },
-    )
-    .expect("warm ensemble");
-    let w_warm = start.elapsed().as_secs_f64();
-    eprintln!("session warm:   {w_warm:.2} s");
 
-    // 5. The batched block-Krylov fast path (opt-in).
+    // 4. The batched block-Krylov fast path (opt-in).
     let batched = batched_flag.then(|| {
         let opts_batched = SolverOptions {
             batch_width,
@@ -299,77 +278,42 @@ fn main() {
         (result, wall, threads_identical)
     });
 
-    // Physics gates.
+    // The report is written before the gates are checked, so a run that
+    // fails a gate still leaves its figures behind.
     assert_eq!(
         exact.outputs, q_rebuild_amg,
         "session exact mode must be bit-identical to rebuild-per-sample at equal options"
     );
-    let diff_warm_vs_ic = max_abs_diff(&warm.outputs, &q_rebuild_ic);
-    let diff_warm_vs_exact = max_abs_diff(&warm.outputs, &exact.outputs);
-    eprintln!(
-        "max |dQoI|: warm vs rebuild-ic {diff_warm_vs_ic:.3e} K, warm vs exact {diff_warm_vs_exact:.3e} K"
-    );
-    let qoi_gate = if quick { 1e-3 } else { 1.5e-7 };
-    assert!(
-        diff_warm_vs_ic < qoi_gate,
-        "warm session physics diverged from the rebuild reference: {diff_warm_vs_ic} K"
-    );
-
-    let speedup = w_rebuild_ic / w_warm;
+    let diff_exact_vs_ic = max_abs_diff(&exact.outputs, &q_rebuild_ic);
+    eprintln!("max |dQoI|: exact vs rebuild-ic {diff_exact_vs_ic:.3e} K");
+    let speedup = w_rebuild_ic / w_exact;
     let speedup_amg = w_rebuild_ic / w_rebuild_amg;
-    let speedup_session = w_rebuild_amg / w_warm;
+    let speedup_session = w_rebuild_amg / w_exact;
     eprintln!(
-        "speedup: session-warm vs rebuild-default {speedup:.2}x \
+        "speedup: session-exact vs rebuild-default {speedup:.2}x \
          (= amg {speedup_amg:.2}x · session {speedup_session:.2}x)"
     );
-    if !quick {
-        assert!(
-            speedup >= 1.5,
-            "session-reuse campaign must be >= 1.5x faster than rebuild-per-sample, got {speedup:.2}x"
-        );
-    }
-
-    // Batched gates: throughput over the warm baseline, physics agreement,
-    // worker-count bit-identity, and the k = 1 scalar-equivalence witness.
-    let mut batched_extra = String::new();
-    if let Some((result, w_batched, threads_identical)) = &batched {
+    // Batched figures: throughput over the exact baseline, physics
+    // agreement, worker-count bit-identity, and the k = 1
+    // scalar-equivalence witness.
+    let batched = batched.map(|(result, w_batched, threads_identical)| {
         let k1_identical = block_k1_matches_scalar_bitwise();
-        let diff_batched_vs_warm = max_abs_diff(&result.outputs, &warm.outputs);
         let diff_batched_vs_exact = max_abs_diff(&result.outputs, &exact.outputs);
-        let speedup_batched = w_warm / w_batched;
+        let speedup_batched = w_exact / w_batched;
         eprintln!(
-            "batched: {speedup_batched:.2}x vs warm, max |dQoI| vs warm \
-             {diff_batched_vs_warm:.3e} K, threads-identical {threads_identical}, \
+            "batched: {speedup_batched:.2}x vs exact, max |dQoI| vs exact \
+             {diff_batched_vs_exact:.3e} K, threads-identical {threads_identical}, \
              k=1 scalar-identical {k1_identical}"
         );
-        assert!(
-            k1_identical,
-            "k = 1 block solve must be bit-identical to the scalar PCG"
-        );
-        assert!(
+        (
+            result.counters,
+            w_batched,
             threads_identical,
-            "batched outputs must be bit-identical across 1/2/4 worker threads"
-        );
-        assert!(
-            diff_batched_vs_warm < qoi_gate,
-            "batched physics diverged from the warm reference: {diff_batched_vs_warm} K"
-        );
-        if !quick {
-            assert!(
-                speedup_batched >= 1.8,
-                "batched campaign must be >= 1.8x faster than warm session reuse, \
-                 got {speedup_batched:.2}x"
-            );
-        }
-        batched_extra = format!(
-            ",\n  \"batch_width\": {batch_width},\n  \
-             \"max_qoi_diff_batched_vs_warm_k\": {diff_batched_vs_warm:.3e},\n  \
-             \"max_qoi_diff_batched_vs_exact_k\": {diff_batched_vs_exact:.3e},\n  \
-             \"speedup_batched_vs_warm_session\": {speedup_batched:.3},\n  \
-             \"batched_bit_identical_across_1_2_4_threads\": {threads_identical},\n  \
-             \"block_k1_bit_identical_to_scalar\": {k1_identical}"
-        );
-    }
+            k1_identical,
+            diff_batched_vs_exact,
+            speedup_batched,
+        )
+    });
 
     let mut runs = vec![
         RunRecord::from_counters(
@@ -390,20 +334,24 @@ fn main() {
             w_exact,
             exact.counters,
         ),
-        RunRecord::from_counters(
-            "ensemble session-reuse warm (uq profile)",
-            &opts_uq,
-            w_warm,
-            warm.counters,
-        ),
     ];
-    if let Some((result, w_batched, _)) = &batched {
+    let mut batched_extra = String::new();
+    if let Some((counters, w_batched, threads_identical, k1_identical, diff, speedup_batched)) =
+        batched
+    {
         runs.push(RunRecord::from_counters(
             format!("ensemble batched block-krylov (uq profile, width {batch_width})"),
             &opts_uq,
-            *w_batched,
-            result.counters,
+            w_batched,
+            counters,
         ));
+        batched_extra = format!(
+            ",\n  \"batch_width\": {batch_width},\n  \
+             \"max_qoi_diff_batched_vs_exact_k\": {diff:.3e},\n  \
+             \"speedup_batched_vs_exact_session\": {speedup_batched:.3},\n  \
+             \"batched_bit_identical_across_1_2_4_threads\": {threads_identical},\n  \
+             \"block_k1_bit_identical_to_scalar\": {k1_identical}"
+        );
     }
     let json = format!(
         "{{\n  \"bench\": \"uq\",\n  \"package\": \"paper 28-pad / 12-wire\",\n  \
@@ -411,10 +359,9 @@ fn main() {
          \"t_end_s\": {t_end},\n  \"threads\": {threads},\n  \
          \"mesh_xy_m\": {mesh_xy:e},\n  \"mesh_z_m\": {mesh_z:e},\n  \"runs\": [\n{}\n  ],\n  \
          \"session_exact_bit_identical_to_rebuild\": true,\n  \
-         \"max_qoi_diff_warm_vs_rebuild_k\": {diff_warm_vs_ic:.3e},\n  \
-         \"max_qoi_diff_warm_vs_exact_k\": {diff_warm_vs_exact:.3e},\n  \
+         \"max_qoi_diff_exact_vs_rebuild_k\": {diff_exact_vs_ic:.3e},\n  \
          \"speedup_amg_vs_ic_rebuild\": {speedup_amg:.3},\n  \
-         \"speedup_warm_session_vs_amg_rebuild\": {speedup_session:.3},\n  \
+         \"speedup_exact_session_vs_amg_rebuild\": {speedup_session:.3},\n  \
          \"speedup_session_vs_rebuild\": {speedup:.3}{batched_extra}\n}}\n",
         runs.iter()
             .map(|r| r.to_json("    "))
@@ -425,4 +372,38 @@ fn main() {
     std::fs::write(&out, &json).expect("write benchmark report");
     println!("{json}");
     eprintln!("session-reuse vs rebuild-per-sample: {speedup:.2}x -> {out}");
+
+    // Gates.
+    let qoi_gate = if quick { 1e-3 } else { 1.5e-7 };
+    assert!(
+        diff_exact_vs_ic < qoi_gate,
+        "session physics diverged from the rebuild reference: {diff_exact_vs_ic} K"
+    );
+    if !quick {
+        assert!(
+            speedup >= 1.5,
+            "session-reuse campaign must be >= 1.5x faster than rebuild-per-sample, got {speedup:.2}x"
+        );
+    }
+    if let Some((_, _, threads_identical, k1_identical, diff, speedup_batched)) = batched {
+        assert!(
+            k1_identical,
+            "k = 1 block solve must be bit-identical to the scalar PCG"
+        );
+        assert!(
+            threads_identical,
+            "batched outputs must be bit-identical across 1/2/4 worker threads"
+        );
+        assert!(
+            diff < qoi_gate,
+            "batched physics diverged from the exact reference: {diff} K"
+        );
+        if !quick {
+            assert!(
+                speedup_batched >= 1.8,
+                "batched campaign must be >= 1.8x faster than exact session reuse, \
+                 got {speedup_batched:.2}x"
+            );
+        }
+    }
 }

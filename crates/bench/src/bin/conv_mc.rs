@@ -48,7 +48,6 @@ fn main() {
             &inputs,
             &EnsembleOptions {
                 n_threads: threads,
-                warm_start: false,
                 progress: None,
                 ..EnsembleOptions::default()
             },

@@ -10,12 +10,11 @@
 //! The campaign runs on the compile-once/run-many engine: the package model
 //! is compiled once, every worker thread owns one `Session`, and samples
 //! are merged in index order — so the statistics are bit-identical for any
-//! `--threads`, and (in the default exact mode) bit-identical to the
-//! historical rebuild-per-sample driver with the same seed. `--warm` keeps
-//! sessions warm across samples (faster; QoIs within solver tolerance).
+//! `--threads`, and bit-identical to the historical rebuild-per-sample
+//! driver with the same seed.
 
 use etherm_bench::{
-    arg_f64, arg_flag, arg_usize, arg_value, build_paper_package, flatten_wire_series, iid_inputs,
+    arg_f64, arg_usize, arg_value, build_paper_package, flatten_wire_series, iid_inputs,
 };
 use etherm_bondwire::degradation::first_crossing;
 use etherm_bondwire::T_CRITICAL;
@@ -38,15 +37,11 @@ fn main() {
     let steps = arg_usize("steps", 50);
     let seed = arg_usize("seed", 2016) as u64;
     let threads = arg_usize("threads", 1);
-    let warm = arg_flag("warm");
     let t_end = 50.0;
     let n_times = steps + 1;
     let n_wires = 12;
 
-    eprintln!(
-        "fig07: M = {m} samples, {steps} steps, seed {seed}, {threads} thread(s){}",
-        if warm { ", warm sessions" } else { "" }
-    );
+    eprintln!("fig07: M = {m} samples, {steps} steps, seed {seed}, {threads} thread(s)");
     let built = build_paper_package();
     eprintln!(
         "package grid: {} nodes, {} wires",
@@ -73,7 +68,6 @@ fn main() {
         &inputs,
         &EnsembleOptions {
             n_threads: threads,
-            warm_start: warm,
             progress: Some(Arc::new(progress)),
             ..EnsembleOptions::default()
         },

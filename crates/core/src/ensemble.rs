@@ -4,15 +4,11 @@
 //! This is the execution layer of a UQ campaign (paper §IV): the model is
 //! compiled once, every worker thread owns one session, and the samples are
 //! split into contiguous index chunks, so outputs are merged in sample order
-//! and the result is independent of scheduling. In the default exact
-//! mode each sample starts from a [`Session::reset`], making the outputs
-//! *bit-identical* to a fresh session per sample (and therefore identical
-//! for any `n_threads`). Warm mode keeps sessions hot across the samples of
-//! a chunk: preconditioners are refreshed instead of rebuilt and the
-//! thermal CG solves warm-start from the previous sample's trajectory —
-//! faster, with QoIs equal within the inner solver tolerance. The batched
-//! path ([`run_ensemble_batched`]) runs through the same scheduler, with
-//! lock-step groups of samples in place of single samples.
+//! and the result is independent of scheduling. Each sample starts from a
+//! [`Session::reset`], making the outputs *bit-identical* to a fresh
+//! session per sample (and therefore identical for any `n_threads`). The
+//! batched path ([`run_ensemble_batched`]) runs through the same
+//! scheduler, with lock-step groups of samples in place of single samples.
 
 use crate::compiled::CompiledModel;
 use crate::error::CoreError;
@@ -131,12 +127,6 @@ pub struct EnsembleOptions {
     /// Worker threads (each owns one [`Session`]); samples are split into
     /// contiguous chunks of `ceil(n / n_threads)`.
     pub n_threads: usize,
-    /// Keep sessions warm across the samples of a chunk (see the module
-    /// docs). Off by default: every sample is bit-identical to a fresh
-    /// session. Warm workers each hold two guess trajectories (see
-    /// [`Session::set_warm_start`] for the memory cost — roughly
-    /// `2 · steps · Picard-iterates · n_reduced` doubles per worker).
-    pub warm_start: bool,
     /// Serialized progress callback `(samples_done, total)`: called on the
     /// coordinating thread as results are merged in sample order, so
     /// output never interleaves regardless of `n_threads`. A closure, so
@@ -151,7 +141,6 @@ impl std::fmt::Debug for EnsembleOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EnsembleOptions")
             .field("n_threads", &self.n_threads)
-            .field("warm_start", &self.warm_start)
             .field("progress", &self.progress.is_some())
             .field("failure_policy", &self.failure_policy)
             .finish()
@@ -162,7 +151,6 @@ impl Default for EnsembleOptions {
     fn default() -> Self {
         EnsembleOptions {
             n_threads: 1,
-            warm_start: false,
             progress: None,
             failure_policy: FailurePolicy::default(),
         }
@@ -242,10 +230,9 @@ pub fn run_ensemble<S: Scenario>(
 ///
 /// Grouping is independent of `options.n_threads` and nothing crosses
 /// group boundaries, so the outputs are bit-identical for any worker
-/// count. `options.warm_start` is ignored: every group starts from reset
-/// sessions (cross-sample reuse inside a group happens through the shared
-/// preconditioner instead). A `batch_width` of 0 or 1 falls back to the
-/// scalar [`run_ensemble`].
+/// count. Every group starts from reset sessions (cross-sample reuse inside
+/// a group happens through the shared preconditioner instead). A
+/// `batch_width` of 0 or 1 falls back to the scalar [`run_ensemble`].
 ///
 /// # Errors
 ///
@@ -272,10 +259,6 @@ pub fn run_ensemble_batched<S: BatchScenario>(
     if width <= 1 {
         return run_ensemble(compiled, scenario, samples, options);
     }
-    let options = EnsembleOptions {
-        warm_start: false,
-        ..options.clone()
-    };
     let (t_end, n_steps) = (scenario.t_end(), scenario.n_steps());
     let run_group = |worker: &mut Worker, first: usize, group: &[Vec<f64>]| {
         let members = &mut worker.members[..group.len()];
@@ -294,7 +277,7 @@ pub fn run_ensemble_batched<S: BatchScenario>(
             })?;
         Ok(runs.iter().map(|run| scenario.qoi(&run.solution)).collect())
     };
-    schedule(compiled, samples, width, &options, run_group)
+    schedule(compiled, samples, width, options, run_group)
 }
 
 /// One worker's sessions: the members of its current group and their
@@ -302,17 +285,6 @@ pub fn run_ensemble_batched<S: BatchScenario>(
 struct Worker {
     members: Vec<Session>,
     panel: Panel,
-}
-
-impl Worker {
-    /// Resets every member and the panel: the next group is independent of
-    /// everything solved before.
-    fn reset(&mut self) {
-        for m in &mut self.members {
-            m.reset();
-        }
-        self.panel.reset();
-    }
 }
 
 /// The scheduler behind [`run_ensemble`] and [`run_ensemble_batched`]:
@@ -371,28 +343,22 @@ where
                 .collect(),
             panel: Panel::default(),
         };
-        for m in &mut worker.members {
-            m.set_warm_start(options.warm_start);
-        }
         for (gk, group) in block.iter().enumerate() {
             let g = c * chunk + gk;
             if g > stop_after.load(Ordering::Relaxed) {
                 break;
             }
-            if !options.warm_start {
-                worker.reset();
+            // Every group starts from reset sessions: it is independent of
+            // everything solved before, including a quarantined group's
+            // contamination (NaN-poisoned guesses, degraded
+            // preconditioners).
+            for m in &mut worker.members {
+                m.reset();
             }
             let result = run_group(&mut worker, g * width, group);
             let failed = result.is_err();
-            if failed {
-                if max_failures == 0 {
-                    stop_after.fetch_min(g, Ordering::Relaxed);
-                } else {
-                    // Quarantine: scrub any solver-state contamination
-                    // (NaN-poisoned guesses, degraded preconditioners)
-                    // before the next group.
-                    worker.reset();
-                }
+            if failed && max_failures == 0 {
+                stop_after.fetch_min(g, Ordering::Relaxed);
             }
             if !emit(g, result) || (failed && max_failures == 0) {
                 break;
@@ -603,36 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_mode_agrees_within_tolerance() {
-        let compiled = Arc::new(
-            CompiledModel::compile(wire_model(), SolverOptions::default()).unwrap(),
-        );
-        let samples = samples();
-        let exact = run_ensemble(
-            &compiled,
-            &LengthScenario,
-            &samples,
-            &EnsembleOptions::default(),
-        )
-        .unwrap();
-        let warm = run_ensemble(
-            &compiled,
-            &LengthScenario,
-            &samples,
-            &EnsembleOptions {
-                warm_start: true,
-                ..EnsembleOptions::default()
-            },
-        )
-        .unwrap();
-        for (a, b) in exact.outputs.iter().zip(&warm.outputs) {
-            assert!((a[0] - b[0]).abs() < 1e-6, "{} vs {}", a[0], b[0]);
-        }
-        // Warm mode reuses preconditioners across samples.
-        assert!(warm.counters.precond_rebuilds <= exact.counters.precond_rebuilds);
-    }
-
-    #[test]
     fn progress_streams_in_order() {
         use std::sync::Mutex;
         let calls = Arc::new(Mutex::new(Vec::new()));
@@ -646,7 +582,6 @@ mod tests {
             &samples(),
             &EnsembleOptions {
                 n_threads: 3,
-                warm_start: false,
                 progress: Some(Arc::new(move |done, total| {
                     log.lock().unwrap().push((done, total));
                 })),
@@ -1174,7 +1109,7 @@ mod tests {
             // solve stops at the initial guess, an update of zero that only
             // the guard keeps from counting as converged.
             let dt = if step % 2 == 1 { 1e-4 } else { 0.5 };
-            let r = session.step(&t, dt, &mut phi, step).unwrap();
+            let r = session.step(&t, dt, &mut phi).unwrap();
             assert!(r.converged, "step {step} did not converge");
             assert!(
                 r.thermal_tol <= counted,
@@ -1300,7 +1235,7 @@ mod tests {
             let mut t = session.initial_temperature();
             let mut phi = vec![0.0; t.len()];
             for step in 1..=8 {
-                let r = session.step(&t, dt, &mut phi, step).unwrap();
+                let r = session.step(&t, dt, &mut phi).unwrap();
                 let stored: f64 = mass
                     .iter()
                     .zip(r.temperature.iter().zip(&t))

@@ -206,8 +206,9 @@ pub struct SolverOptions {
     /// Off by default: the answer then moves within the Picard tolerance
     /// (`picard_tol × T`, ≈ 4e-5 K at 360 K) rather than the inner solver
     /// tolerance, and the default profile keeps its 1e-6 K agreement
-    /// contracts between solve paths (warm vs exact sessions, batched vs
-    /// scalar, a panel step redone member by member). On in
+    /// contracts between solve paths (a session rerun without a reset
+    /// against a fresh one, batched vs scalar, a panel step redone member
+    /// by member). On in
     /// [`SolverOptions::uq`], where it roughly halves the thermal CG work
     /// of a campaign step. `bench_uq` turns it off in its `uq()` campaign:
     /// that campaign pins 6 Picard iterates with `picard_tol = 0` and gates
@@ -255,8 +256,8 @@ impl SolverOptions {
     /// ([`SolverOptions::picard_forcing`]) — the configuration of the
     /// session-reuse ensemble in `bench_uq`. AMG costs more per CG
     /// iteration but needs ~8× fewer of them on the paper package, and its
-    /// hierarchy honors the frozen-skeleton `refresh` contract, so warm
-    /// sessions refresh it in place across samples instead of
+    /// hierarchy honors the frozen-skeleton `refresh` contract, so a
+    /// session refreshes it in place across the steps of a run instead of
     /// re-aggregating. The forcing solves early Picard iterates loosely, so
     /// answers agree with the default profile within the Picard tolerance
     /// rather than the CG tolerance.

@@ -1,5 +1,5 @@
 //! The per-run, mutable half of the solver: value-filled matrices, cached
-//! preconditioners, workspaces and warm-start state.
+//! preconditioners, workspaces and the step predictor's history.
 //!
 //! A [`Session`] is created from a shared [`CompiledModel`] and owns
 //! everything that changes between (or during) runs: the sampled wire
@@ -10,22 +10,14 @@
 //! allocates buffers, which makes one session per worker thread cheap and
 //! the per-sample cost of a campaign essentially the solve itself.
 //!
-//! Two reuse modes:
-//!
-//! * **exact** (default): call [`Session::reset`] between samples. Cached
-//!   preconditioners are dropped and warm-start state cleared, so every run
-//!   is *bit-identical* to a fresh [`Session`] on the same compiled
-//!   model — the mode used by the Fig. 7 reproduction, whose statistics
-//!   must not move.
-//! * **warm** ([`Session::set_warm_start`]): preconditioners are carried
-//!   across samples (refreshed in place by the usual lazy policy) and every
-//!   thermal CG solve is warm-started from the previous sample's solution
-//!   at the same (step, Picard-iterate) position by transplanting its
-//!   update increment. Warm starts and preconditioner state only change
-//!   *iteration counts*; the converged physics agrees with the exact mode
-//!   within the inner solver tolerance (within the Picard tolerance under
-//!   [`SolverOptions::picard_forcing`], whose loose early solves stop
-//!   wherever their guess lets them).
+//! One reuse contract: call [`Session::reset`] between samples. Cached
+//! preconditioners and the step predictor's history are dropped, so every
+//! run is *bit-identical* to a fresh [`Session`] on the same compiled
+//! model — the contract of the Fig. 7 reproduction, whose statistics must
+//! not move. Without a reset, a run keeps the cached preconditioners
+//! (refreshed in place by the usual lazy policy); they only change
+//! iteration counts, so its answers agree with a fresh session's within
+//! the inner solver tolerance.
 //!
 //! One driver serves a single session and a lock-step panel of sessions:
 //! the fixed-step run loop (`run_fixed_step`) and the coupled Picard loop
@@ -265,19 +257,10 @@ struct Scratch {
     t_star: Vec<f64>,
     /// Next Picard temperature (full numbering).
     t_new: Vec<f64>,
-    /// Start state of the previous transient step (for the step predictor).
-    t_hist: Vec<f64>,
-    /// Step size of the previous transient step (predictor validity check).
-    last_dt: f64,
-}
-
-/// Warm-start state: the reduced thermal solutions of the previous and the
-/// current run, indexed `[step − 1][picard_iterate − 1]`.
-#[derive(Debug, Clone, Default)]
-struct WarmState {
-    enabled: bool,
-    traj_prev: Vec<Vec<Vec<f64>>>,
-    traj_cur: Vec<Vec<Vec<f64>>>,
+    /// The step predictor's history: the step size and start state
+    /// `t_hist` of the previous step of this run; `None` (predictor off)
+    /// until a run's first step is accepted.
+    step_hist: Option<(f64, Vec<f64>)>,
 }
 
 /// The three independently cached linear subsystems.
@@ -418,7 +401,7 @@ impl SolveCounters {
 ///
 /// All solve entry points take `&mut self`; a session is single-threaded by
 /// construction (spawn one per worker). See the module docs for the
-/// exact-vs-warm reuse contract.
+/// reuse contract.
 #[derive(Debug, Clone)]
 pub struct Session {
     compiled: Arc<CompiledModel>,
@@ -441,7 +424,6 @@ pub struct Session {
     therm_stationary_solver: SubsystemCache,
     scratch: Scratch,
     counters: SolveCounters,
-    warm: WarmState,
     /// Deterministic fault injection for resilience testing
     /// ([`Session::set_fault_plan`]); `None` on the production path.
     fault: Option<FaultInjector>,
@@ -483,7 +465,6 @@ impl Session {
             therm_stationary_solver: SubsystemCache::default(),
             scratch: Scratch::default(),
             counters: SolveCounters::default(),
-            warm: WarmState::default(),
             fault: None,
             budget_spent: 0,
             budget_override: None,
@@ -543,25 +524,6 @@ impl Session {
             .unwrap_or(self.compiled.options().recovery.linear_iteration_budget)
     }
 
-    /// Enables or disables warm-starting across runs (default: off). See
-    /// the module docs: warm mode trades bit-reproducibility against a
-    /// rebuild-per-sample reference for fewer CG iterations; the physics
-    /// stays within the inner solver tolerance.
-    ///
-    /// Memory: warm mode records the reduced thermal solution of every
-    /// transient solve and keeps the previous *and* current run's
-    /// trajectories — `2 · n_steps · Picard-iterates · n_reduced` doubles
-    /// per session (≈ 2 × 21 MB on the paper package at 50 steps × 6
-    /// iterates), multiplied by the worker count in an ensemble. Disabling
-    /// warm start frees both trajectories.
-    pub fn set_warm_start(&mut self, enabled: bool) {
-        self.warm.enabled = enabled;
-        if !enabled {
-            self.warm.traj_prev.clear();
-            self.warm.traj_cur.clear();
-        }
-    }
-
     /// Installs (or removes, with `None`) a deterministic fault plan: the
     /// selected solves of subsequent runs see a [`FaultyLinOp`]-wrapped
     /// operator that injects the planned breakdowns, NaN/Inf contamination
@@ -582,25 +544,14 @@ impl Session {
     /// Resets all per-run solver state so the next run is bit-identical to
     /// a fresh [`Session`] on the same compiled model: drops the
     /// cached preconditioners (patterns and workspaces are kept — they do
-    /// not influence results, only allocations) and clears the warm-start
-    /// trajectories and step-extrapolation history. Cumulative counters and
-    /// the current wire lengths are kept.
+    /// not influence results, only allocations) and clears the step
+    /// predictor's history. Cumulative counters and the current wire
+    /// lengths are kept.
     pub fn reset(&mut self) {
         self.elec_solver.clear();
         self.therm_solver.clear();
         self.therm_stationary_solver.clear();
-        self.scratch.t_hist.clear();
-        self.scratch.last_dt = 0.0;
-        self.warm.traj_prev.clear();
-        self.warm.traj_cur.clear();
-    }
-
-    /// Forks the session: an independent session sharing the same compiled
-    /// model, with the current solver state (preconditioners, warm
-    /// trajectories, wire lengths) *cloned*. Spawning warm workers from a
-    /// burned-in session skips their cold start.
-    pub fn fork(&self) -> Session {
-        self.clone()
+        self.scratch.step_hist = None;
     }
 
     /// Replaces the length of wire `j` — the Monte Carlo parameter of the
@@ -676,12 +627,11 @@ impl Session {
         t_prev: &[f64],
         dt: f64,
         phi_warm: &mut [f64],
-        step_index: usize,
     ) -> Result<StepResult, CoreError> {
         if !(dt > 0.0 && dt.is_finite()) {
             return Err(CoreError::InvalidModel(format!("invalid time step {dt}")));
         }
-        self.solve_coupled(t_prev, Some(dt), phi_warm, step_index)
+        self.solve_coupled(t_prev, Some(dt), phi_warm)
     }
 
     /// Solves the stationary coupled problem (steady state).
@@ -700,7 +650,7 @@ impl Session {
         let t0 = self.initial_temperature();
         let mut phi = vec![0.0; self.compiled.layout().n_total()];
         self.begin_recovery_run();
-        let r = self.solve_coupled(&t0, None, &mut phi, 0)?;
+        let r = self.solve_coupled(&t0, None, &mut phi)?;
         Ok(StationaryResult {
             temperature: r.temperature,
             potential: r.potential,
@@ -778,16 +728,11 @@ impl Session {
         .map_err(|(_, e)| e)
     }
 
-    /// Invalidates the extrapolation history of any previous transient (the
-    /// first step of a run must not extrapolate across runs) and rotates
-    /// the warm-start trajectory: the previous run becomes this run's guess
-    /// source. Every transient entry point calls this first.
+    /// Invalidates the step predictor's history of any previous transient
+    /// (the first step of a run must not extrapolate across runs). Every
+    /// transient entry point calls this first.
     pub(crate) fn begin_transient_run(&mut self) {
-        self.scratch.t_hist.clear();
-        self.scratch.last_dt = 0.0;
-        if self.warm.enabled {
-            self.warm.traj_prev = std::mem::take(&mut self.warm.traj_cur);
-        }
+        self.scratch.step_hist = None;
         self.begin_recovery_run();
     }
 
@@ -807,14 +752,13 @@ impl Session {
     /// `halvings_left` levels. The electrical warm-start vector is restored
     /// before re-stepping so NaN contamination from the failed attempt
     /// cannot leak into the recovery path; the step-extrapolation predictor
-    /// self-disables on the next full step because the recorded `last_dt` no
-    /// longer matches.
+    /// self-disables on the next full step because the recorded step size
+    /// no longer matches.
     fn step_recovering(
         &mut self,
         t_prev: &[f64],
         dt: f64,
         phi_warm: &mut [f64],
-        step_index: usize,
         halvings_left: usize,
     ) -> Result<StepResult, CoreError> {
         let phi_backup = if halvings_left > 0 {
@@ -822,7 +766,7 @@ impl Session {
         } else {
             None
         };
-        match self.step(t_prev, dt, phi_warm, step_index) {
+        match self.step(t_prev, dt, phi_warm) {
             Ok(r) => Ok(r),
             Err(e) if phi_backup.is_some() && step_error_is_retryable(&e) => {
                 if let Some(phi0) = &phi_backup {
@@ -830,15 +774,9 @@ impl Session {
                 }
                 self.counters.recovery.dt_halvings += 1;
                 let half = 0.5 * dt;
-                let first =
-                    self.step_recovering(t_prev, half, phi_warm, step_index, halvings_left - 1)?;
-                let second = self.step_recovering(
-                    &first.temperature,
-                    half,
-                    phi_warm,
-                    step_index,
-                    halvings_left - 1,
-                )?;
+                let first = self.step_recovering(t_prev, half, phi_warm, halvings_left - 1)?;
+                let second =
+                    self.step_recovering(&first.temperature, half, phi_warm, halvings_left - 1)?;
                 self.counters.recovery.recovered_steps += 1;
                 Ok(StepResult {
                     temperature: second.temperature,
@@ -880,7 +818,6 @@ impl Session {
         threshold: f64,
         bisections: usize,
         phi: &mut [f64],
-        step_index: usize,
     ) -> Result<(f64, usize), CoreError> {
         let mut lo = 0.0f64;
         let mut hi = dt;
@@ -890,7 +827,7 @@ impl Session {
             if !(mid > lo && mid < hi) {
                 break; // bracket exhausted floating-point resolution
             }
-            let probe = self.step(state_prev, mid, phi, step_index)?;
+            let probe = self.step(state_prev, mid, phi)?;
             substeps += 1;
             let y_mid = self.max_wire_temperature_of(&probe.temperature);
             if y_mid >= threshold {
@@ -915,14 +852,12 @@ impl Session {
         t_prev: &[f64],
         dt: Option<f64>,
         phi_warm: &mut [f64],
-        step_index: usize,
     ) -> Result<StepResult, CoreError> {
         coupled_solve(
             std::slice::from_mut(self),
             &[t_prev],
             &mut [phi_warm],
             dt,
-            step_index,
             &mut Panel::default(),
         )
         .map(|mut results| results.swap_remove(0))
@@ -1050,16 +985,8 @@ impl Session {
     /// initial guess in `scratch.x_red`.
     ///
     /// `dt = None` means stationary (no mass term); `t_prev` is the
-    /// previous time level (ignored when stationary). In warm mode the CG
-    /// initial guess is improved by transplanting the previous run's
-    /// solution increment at the same `(step_index, picard_k)` position.
-    fn assemble_thermal(
-        &mut self,
-        t_prev: &[f64],
-        dt: Option<f64>,
-        step_index: usize,
-        picard_k: usize,
-    ) {
+    /// previous time level (ignored when stationary).
+    fn assemble_thermal(&mut self, t_prev: &[f64], dt: Option<f64>) {
         let Session {
             compiled,
             wires,
@@ -1067,12 +994,10 @@ impl Session {
             therm_stamper,
             therm_stationary_stamper,
             scratch,
-            warm,
             ..
         } = self;
         let model = compiled.model();
         let layout = compiled.layout();
-        let therm_map = compiled.therm_map();
         assembly::fill_lambda(model, &scratch.t_star, &mut scratch.coeff);
 
         let stamper = if dt.is_some() {
@@ -1096,72 +1021,20 @@ impl Session {
         // sequence; the solve re-reads the system via `assembled()`.
         let _ = stamper.finish();
         // CG initial guess: the lagged temperature, which on the first
-        // Picard iterate of a continuation step is the step predictor.
-        // Warm mode improves on it with the previous run's increment at
-        // the same position. A guess only affects iteration counts, never
-        // the converged solution.
-        therm_map.restrict_into(&scratch.t_star, &mut scratch.x_red);
-        let transient = dt.is_some();
-        if transient && warm.enabled && step_index >= 1 {
-            let prev_sk = warm
-                .traj_prev
-                .get(step_index - 1)
-                .and_then(|v| v.get(picard_k - 1))
-                .filter(|v| v.len() == scratch.x_red.len());
-            if let Some(prev_sk) = prev_sk {
-                if picard_k == 1 {
-                    // x₀ = restrict(t_prev) + (ξ[s][1] − ξ[s−1][last]):
-                    // the previous run's change over the same step, applied
-                    // to this run's state. For step 1 both runs start from
-                    // the identical initial state, so x₀ = ξ[1][1].
-                    let prev_base = if step_index >= 2 {
-                        warm.traj_prev.get(step_index - 2).and_then(|v| v.last())
-                    } else {
-                        None
-                    };
-                    therm_map.restrict_into(t_prev, &mut scratch.x_red);
-                    match prev_base {
-                        Some(pb) if pb.len() == scratch.x_red.len() => {
-                            for i in 0..scratch.x_red.len() {
-                                scratch.x_red[i] += prev_sk[i] - pb[i];
-                            }
-                        }
-                        _ => scratch.x_red.copy_from_slice(prev_sk),
-                    }
-                } else {
-                    // x₀ = x[s][k−1] + (ξ[s][k] − ξ[s][k−1]): transplant the
-                    // previous run's Picard increment onto this iterate.
-                    let prev_base = warm
-                        .traj_prev
-                        .get(step_index - 1)
-                        .and_then(|v| v.get(picard_k - 2))
-                        .filter(|v| v.len() == scratch.x_red.len());
-                    if let Some(pb) = prev_base {
-                        for i in 0..scratch.x_red.len() {
-                            scratch.x_red[i] += prev_sk[i] - pb[i];
-                        }
-                    }
-                }
-            }
-        }
+        // Picard iterate of a continuation step is the step predictor. A
+        // guess only affects iteration counts, never the converged
+        // solution.
+        compiled
+            .therm_map()
+            .restrict_into(&scratch.t_star, &mut scratch.x_red);
     }
 
-    /// Accepts the thermal solution in `scratch.x_red`: records the warm
-    /// trajectory entry and expands it to the full-numbering
-    /// `scratch.t_new`.
-    fn accept_thermal(&mut self, dt: Option<f64>, step_index: usize) {
+    /// Accepts the thermal solution in `scratch.x_red`: expands it to the
+    /// full-numbering `scratch.t_new`.
+    fn accept_thermal(&mut self) {
         let Session {
-            compiled,
-            scratch,
-            warm,
-            ..
+            compiled, scratch, ..
         } = self;
-        if dt.is_some() && warm.enabled && step_index >= 1 {
-            if warm.traj_cur.len() < step_index {
-                warm.traj_cur.resize(step_index, Vec::new());
-            }
-            warm.traj_cur[step_index - 1].push(scratch.x_red.clone());
-        }
         scratch.t_new.resize(compiled.layout().n_total(), 0.0);
         compiled.therm_map().expand_into(&scratch.x_red, &mut scratch.t_new);
     }
@@ -1175,11 +1048,12 @@ impl Session {
     fn begin_coupled(&mut self, t_prev: &[f64], dt: Option<f64>) {
         let s = &mut self.scratch;
         s.t_star.clear();
-        if dt.is_some_and(|d| s.t_hist.len() == t_prev.len() && s.last_dt == d) {
-            s.t_star
-                .extend(t_prev.iter().zip(&s.t_hist).map(|(&a, &b)| 2.0 * a - b));
-        } else {
-            s.t_star.extend_from_slice(t_prev);
+        match (dt, &s.step_hist) {
+            (Some(d), Some((last_dt, t_hist))) if *last_dt == d => {
+                s.t_star
+                    .extend(t_prev.iter().zip(t_hist).map(|(&a, &b)| 2.0 * a - b));
+            }
+            _ => s.t_star.extend_from_slice(t_prev),
         }
     }
 
@@ -1197,9 +1071,10 @@ impl Session {
     fn record_step_history(&mut self, t_prev: &[f64], dt: Option<f64>) {
         if let Some(d) = dt {
             let s = &mut self.scratch;
-            s.t_hist.clear();
-            s.t_hist.extend_from_slice(t_prev);
-            s.last_dt = d;
+            let mut t_hist = s.step_hist.take().map(|(_, t)| t).unwrap_or_default();
+            t_hist.clear();
+            t_hist.extend_from_slice(t_prev);
+            s.step_hist = Some((d, t_hist));
         }
     }
 
@@ -1342,8 +1217,9 @@ pub(crate) struct Panel {
 }
 
 impl Panel {
-    /// Forgets the trajectories, so the next run starts cold.
-    pub(crate) fn reset(&mut self) {
+    /// Forgets the trajectories: the first step of a run has no previous
+    /// step to transplant from.
+    fn reset(&mut self) {
         self.traj.clear();
         self.traj_next.clear();
     }
@@ -1357,8 +1233,8 @@ impl Panel {
     /// [`SolverOptions::picard_forcing`] stops near its guess, so the
     /// transplanted increment's error would show up as a Picard update and
     /// cost the step an iterate.
-    fn transplant(&self, members: &mut [Session], step: usize, pk: usize) {
-        if step < 2 || pk < 2 {
+    fn transplant(&self, members: &mut [Session], pk: usize) {
+        if pk < 2 {
             return;
         }
         for (m, traj) in members.iter_mut().zip(&self.traj) {
@@ -1429,6 +1305,7 @@ pub(crate) fn run_fixed_step(
         .map(|&t| ((t / dt).round() as usize).min(n_steps))
         .collect();
 
+    panel.reset();
     let mut t_states = Vec::with_capacity(members.len());
     for m in members.iter_mut() {
         m.begin_transient_run();
@@ -1473,7 +1350,7 @@ pub(crate) fn run_fixed_step(
         if runs[0].stopped_early {
             break;
         }
-        let results = step_panel(members, panel, &t_states, &mut phis, dt, step, max_halvings)
+        let results = step_panel(members, panel, &t_states, &mut phis, dt, max_halvings)
             .map_err(|(j, e)| {
                 let failed = CoreError::StepFailed {
                     step,
@@ -1523,7 +1400,6 @@ pub(crate) fn run_fixed_step(
                             threshold,
                             bisections,
                             &mut phis[0],
-                            step,
                         )
                         .map_err(|e| (0, e))?;
                     run.crossing_time = Some(t_cross);
@@ -1574,12 +1450,11 @@ fn step_panel(
     t_states: &[Vec<f64>],
     phis: &mut [Vec<f64>],
     dt: f64,
-    step: usize,
     max_halvings: usize,
 ) -> Result<Vec<StepResult>, MemberError> {
     if let ([member], [t_prev], [phi]) = (&mut *members, t_states, &mut *phis) {
         return member
-            .step_recovering(t_prev, dt, phi, step, max_halvings)
+            .step_recovering(t_prev, dt, phi, max_halvings)
             .map(|r| vec![r])
             .map_err(|e| (0, e));
     }
@@ -1593,7 +1468,7 @@ fn step_panel(
         .collect();
     let t_prev: Vec<&[f64]> = t_states.iter().map(Vec::as_slice).collect();
     let mut phi_refs: Vec<&mut [f64]> = phis.iter_mut().map(Vec::as_mut_slice).collect();
-    let failure = match coupled_solve(members, &t_prev, &mut phi_refs, Some(dt), step, panel) {
+    let failure = match coupled_solve(members, &t_prev, &mut phi_refs, Some(dt), panel) {
         Ok(results) => {
             panel.end_step(false);
             return Ok(results);
@@ -1616,7 +1491,7 @@ fn step_panel(
             if let Some(f) = &m.fault {
                 f.rewind_to(mark);
             }
-            m.step_recovering(t_prev, dt, phi, step, max_halvings)
+            m.step_recovering(t_prev, dt, phi, max_halvings)
                 .map_err(|e| (j, e))
         })
         .collect()
@@ -1637,7 +1512,6 @@ fn coupled_solve(
     t_prev: &[&[f64]],
     phis: &mut [&mut [f64]],
     dt: Option<f64>,
-    step_index: usize,
     panel: &mut Panel,
 ) -> Result<Vec<StepResult>, StepError> {
     let k = members.len();
@@ -1683,19 +1557,19 @@ fn coupled_solve(
         }
         for (j, m) in members.iter_mut().enumerate() {
             field_power[j] = m.heat_sources(phis[j]);
-            m.assemble_thermal(t_prev[j], dt, step_index, pk);
+            m.assemble_thermal(t_prev[j], dt);
         }
         if forcing {
             thermal_tol = forcing_tolerance(options, pk, u1, u2);
         }
         let tight = thermal_tol <= options.picard_tol.max(tol_rel);
         if k > 1 && tight {
-            panel.transplant(members, step_index, pk);
+            panel.transplant(members, pk);
         }
         solve_panel(members, thermal, panel, &mut linear, thermal_tol)?;
         let mut met = tight;
         for (j, m) in members.iter_mut().enumerate() {
-            m.accept_thermal(dt, step_index);
+            m.accept_thermal();
             let u = m.picard_update_and_swap();
             met &= u <= options.picard_tol;
             if j == 0 || u > update || u.is_nan() {
@@ -2347,7 +2221,7 @@ mod tests {
         // Nothing drives the system: stays at 300 K, one Picard iteration.
         let t_end = s.initial_temperature();
         let mut phi = vec![0.0; s.compiled().layout().n_total()];
-        let tr = s.step(&t_end, 1.0, &mut phi, 1).unwrap();
+        let tr = s.step(&t_end, 1.0, &mut phi).unwrap();
         assert!(tr.converged);
         assert!(tr.temperature.iter().all(|&t| (t - 300.0).abs() < 1e-9));
         assert!(sol.field_power.iter().all(|&p| p == 0.0));
@@ -2376,8 +2250,8 @@ mod tests {
         let mut s = session(1e-3);
         let t0 = s.initial_temperature();
         let mut phi = vec![0.0; s.compiled().layout().n_total()];
-        assert!(s.step(&t0, 0.0, &mut phi, 0).is_err());
-        assert!(s.step(&t0, f64::NAN, &mut phi, 0).is_err());
+        assert!(s.step(&t0, 0.0, &mut phi).is_err());
+        assert!(s.step(&t0, f64::NAN, &mut phi).is_err());
     }
 
     #[test]
@@ -2534,38 +2408,13 @@ mod tests {
         let mut s = Session::new(CompiledModel::compile(driven_wire_block(), options).unwrap());
         let t0 = s.initial_temperature();
         let mut phi = vec![0.0; s.compiled().layout().n_total()];
-        let step = s.step(&t0, 0.5, &mut phi, 1).unwrap();
+        let step = s.step(&t0, 0.5, &mut phi).unwrap();
         assert!(!step.converged);
         assert_eq!(step.picard_iterations, 2);
         let sol = s.run_transient(2.0, 4, &[]).unwrap();
         assert_eq!(sol.picard_iterations, vec![2; 4]);
         assert!(*sol.wire_series(0).last().unwrap() > 300.0);
         assert_eq!(s.counters().recovery, RecoveryLedger::default());
-    }
-
-    #[test]
-    fn warm_start_stays_within_solver_tolerance() {
-        let mut s = session(1e-3);
-        let exact = s.run_transient(10.0, 10, &[10.0]).unwrap();
-        s.reset();
-        s.set_warm_start(true);
-        let w1 = s.run_transient(10.0, 10, &[10.0]).unwrap();
-        // First warm run has no trajectory yet: identical to exact.
-        assert_eq!(exact.snapshots[0].1, w1.snapshots[0].1);
-        // Second warm run uses the recorded trajectory; within tolerance.
-        let w2 = s.run_transient(10.0, 10, &[10.0]).unwrap();
-        let diff = vector::max_abs_diff(&exact.snapshots[0].1, &w2.snapshots[0].1);
-        assert!(diff < 1e-6, "warm start moved the physics by {diff} K");
-    }
-
-    #[test]
-    fn fork_reproduces_parent_behavior() {
-        let mut s = session(1e-3);
-        let _ = s.run_transient(5.0, 5, &[]).unwrap();
-        let mut f = s.fork();
-        let a = s.run_transient(5.0, 5, &[5.0]).unwrap();
-        let b = f.run_transient(5.0, 5, &[5.0]).unwrap();
-        assert_eq!(a.snapshots[0].1, b.snapshots[0].1);
     }
 
     /// A five-point Laplacian on an `m × m` grid with its rows and columns

@@ -283,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_converges_immediately() {
+    fn exact_initial_guess_converges_immediately() {
         let n = 20;
         let a = lap1d(n);
         let b = vec![1.0; n];

@@ -7,10 +7,11 @@
 //! the *package* (with its real pad cooling and mold coupling) first reach
 //! the degradation threshold? [`find_critical_load`] answers it on the
 //! session's drive scale: doublings from the low end bracket the critical
-//! scale, then bisection narrows the bracket, reusing one warm session
-//! across the transients — every failing probe early-exits at its
-//! threshold crossing, so the failing side of the bracket costs a fraction
-//! of a full run.
+//! scale, then bisection narrows the bracket, reusing one session across
+//! the transients without a reset, so the probes share its cached
+//! preconditioners — and every failing probe early-exits at its threshold
+//! crossing, so the failing side of the bracket costs a fraction of a full
+//! run.
 
 use crate::error::ReliabilityError;
 use etherm_core::{Session, ThresholdObserver};
@@ -80,11 +81,12 @@ pub struct CriticalLoad {
 /// `scale_hi`), and bisects between that probe and the last safe one. The
 /// result does not depend on `scale_hi` once `scale_hi` lies past the first
 /// failing doubling. The session's wire lengths (and any other applied
-/// parameters) are honored; warm-start mode is enabled for the duration so
-/// consecutive probes share preconditioners and thermal guesses. On return
-/// the session's drive scale is left at the reported safe `scale` and warm
-/// mode is switched back off; on error the entering drive scale is
-/// restored instead.
+/// parameters) are honored. The search never resets the session, so
+/// consecutive probes share its cached preconditioners; they change
+/// iteration counts, and a probe's temperatures only within the inner
+/// solver tolerance. On return the session's drive
+/// scale is left at the reported safe `scale`; on error the entering drive
+/// scale is restored instead.
 ///
 /// # Errors
 ///
@@ -108,9 +110,7 @@ pub fn find_critical_load(
         )));
     }
     let original_scale = session.drive_scale();
-    session.set_warm_start(true);
     let result = search(session, options);
-    session.set_warm_start(false);
     if result.is_err() {
         // A solver failure mid-bisection must not leave the caller's
         // session at the failing probe's overload (the scale was valid
@@ -134,10 +134,10 @@ pub struct SampledCriticalLoad {
 /// threshold: the mold's critical temperature is itself scattered (cure
 /// state, filler content), so the fusing current is a random variable. For
 /// each probe point `u ∈ (0, 1)` the threshold is realized by inversion,
-/// `T_crit = F⁻¹(u)`, and the warm-session bisection of
-/// [`find_critical_load`] runs at that threshold — one session carries its
-/// preconditioners and thermal guesses across the whole sweep, so sample
-/// `i+1` starts from the bracket-end state of sample `i`.
+/// `T_crit = F⁻¹(u)`, and the bisection of [`find_critical_load`] runs at
+/// that threshold — one session carries its cached preconditioners across
+/// the whole sweep, so sample `i+1` starts from the preconditioners of
+/// sample `i`'s last probe.
 ///
 /// The probe points are caller-supplied (iid uniforms, Latin Hypercube,
 /// or Halton from `etherm_uq::sampling`), which keeps the sweep

@@ -345,8 +345,9 @@ fn sampled_fusing_search_tracks_the_threshold_distribution() {
     assert!(sampled[0].load.scale < sampled[2].load.scale);
 
     // The median probe reproduces the fixed-threshold search bitwise on a
-    // fresh session (the sweep itself shares one warm session, which only
-    // shapes iteration counts, not the bisection decisions).
+    // fresh session (the sweep itself shares one session without a reset,
+    // whose cached preconditioners only shape iteration counts, not the
+    // bisection decisions).
     let mut fresh = Session::new(Arc::clone(&compiled));
     let fixed = find_critical_load(
         &mut fresh,
@@ -400,11 +401,14 @@ fn fusing_search_saturates_and_rejects_bad_brackets() {
 
 /// The doublings stop at the first failing probe, so a high end far past
 /// the critical scale is never probed: the search makes the same probes
-/// and returns the same bits for `scale_hi` 16 and 1024.
+/// and returns the same bits for `scale_hi` 16 and 1024. A second search on
+/// the same session, without a reset, starts from the first search's
+/// cached preconditioners: they change iteration counts, never a probe's
+/// verdict, so it makes the same probes as a fresh session.
 #[test]
 fn fusing_search_ignores_a_distant_high_end() {
     let compiled = compiled();
-    let search = |scale_hi: f64| {
+    let search = |session: &mut Session, scale_hi: f64| {
         let options = FusingSearchOptions {
             t_end: 2.0,
             n_steps: 4,
@@ -414,15 +418,20 @@ fn fusing_search_ignores_a_distant_high_end() {
             tol_rel: 2e-2,
             max_iter: 30,
         };
-        find_critical_load(&mut Session::new(Arc::clone(&compiled)), &options).unwrap()
+        find_critical_load(session, &options).unwrap()
     };
-    let near = search(16.0);
-    let far = search(1024.0);
-    assert_eq!(near.runs, far.runs);
-    assert_eq!(near.early_exits, far.early_exits);
-    assert_eq!(near.scale.to_bits(), far.scale.to_bits());
-    assert_eq!(near.bracket.0.to_bits(), far.bracket.0.to_bits());
-    assert_eq!(near.bracket.1.to_bits(), far.bracket.1.to_bits());
+    let near = search(&mut Session::new(Arc::clone(&compiled)), 16.0);
+    let far = search(&mut Session::new(Arc::clone(&compiled)), 1024.0);
+    let mut reused = Session::new(Arc::clone(&compiled));
+    let _ = search(&mut reused, 16.0);
+    let again = search(&mut reused, 16.0);
+    for other in [&far, &again] {
+        assert_eq!(near.runs, other.runs);
+        assert_eq!(near.early_exits, other.early_exits);
+        assert_eq!(near.scale.to_bits(), other.scale.to_bits());
+        assert_eq!(near.bracket.0.to_bits(), other.bracket.0.to_bits());
+        assert_eq!(near.bracket.1.to_bits(), other.bracket.1.to_bits());
+    }
     assert_eq!(
         near.failing_crossing_time.map(f64::to_bits),
         far.failing_crossing_time.map(f64::to_bits)

@@ -18,8 +18,8 @@
 //!   pooled session in the fresh-session state (nominal wire lengths, unit
 //!   drive, no cached preconditioners): [`etherm_core::Session::reset`] as
 //!   it returns to the pool, restored parameters in the job prologue —
-//!   nothing solved by previous tenants can leak in; `campaign` and `qoi` run the ensemble in exact
-//!   mode on one thread, so each sample starts from a reset session;
+//!   nothing solved by previous tenants can leak in; `campaign` and `qoi` run the ensemble
+//!   on one thread, so each sample starts from a reset session;
 //! * "warm" reuse is *allocation* reuse (stamping templates, Krylov
 //!   workspaces, pooled sessions, the shared compiled model), never
 //!   numerical state;
@@ -861,8 +861,8 @@ impl Scenario for PeakScenario {
     }
 }
 
-/// Ensemble options of a job's own samples: one thread, exact mode, and
-/// one `progress` frame per merged sample.
+/// Ensemble options of a job's own samples: one thread and one `progress`
+/// frame per merged sample.
 fn ensemble_options(job: &Job) -> EnsembleOptions {
     let (tx, id) = (job.tx.clone(), job.id);
     EnsembleOptions {

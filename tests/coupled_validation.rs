@@ -148,7 +148,7 @@ fn fit_is_second_order_in_h() {
         let mut session = open_session(&model, SolverOptions::default());
         let t0: Vec<f64> = mode.iter().map(|s| 300.0 + amp * s).collect();
         let mut phi = vec![0.0; t0.len()];
-        let t1 = session.step(&t0, dt, &mut phi, 1).unwrap().temperature;
+        let t1 = session.step(&t0, dt, &mut phi).unwrap().temperature;
         // Project the decayed excess on the mode: g = 1/(1 + Δt·λ_h).
         let excess: f64 = mode.iter().zip(&t1).map(|(s, t)| s * (t - 300.0)).sum();
         let g = excess / (amp * mode.iter().map(|s| s * s).sum::<f64>());
