@@ -32,12 +32,23 @@ pub(crate) struct CoeffBufs {
     pub m_lambda: Vec<f64>,
 }
 
-/// Evaluates σ(T★) per cell and the edge conductance diagonal `Mσ` into
-/// `bufs` (`cell_t`, `cell_sigma`, `m_sigma`).
-pub(crate) fn fill_sigma(model: &ElectrothermalModel, t_star: &[f64], bufs: &mut CoeffBufs) {
+/// Evaluates the per-cell mean of the lagged temperature `t_star` into
+/// `bufs.cell_t`, which [`fill_sigma`] and [`fill_lambda`] both read: one
+/// evaluation per Picard iterate serves both fills.
+pub(crate) fn fill_cell_temperatures(
+    model: &ElectrothermalModel,
+    t_star: &[f64],
+    bufs: &mut CoeffBufs,
+) {
     let grid = model.grid();
-    let t_grid = &t_star[..grid.n_nodes()];
-    cell_temperatures_into(grid, t_grid, &mut bufs.cell_t);
+    cell_temperatures_into(grid, &t_star[..grid.n_nodes()], &mut bufs.cell_t);
+}
+
+/// Evaluates σ per cell at `bufs.cell_t` (see [`fill_cell_temperatures`])
+/// and the edge conductance diagonal `Mσ` into `bufs` (`cell_sigma`,
+/// `m_sigma`).
+pub(crate) fn fill_sigma(model: &ElectrothermalModel, bufs: &mut CoeffBufs) {
+    let grid = model.grid();
     cell_property_into(
         grid,
         model.paint(),
@@ -49,12 +60,11 @@ pub(crate) fn fill_sigma(model: &ElectrothermalModel, t_star: &[f64], bufs: &mut
     edge_material_diagonal_into(grid, &bufs.cell_sigma, &mut bufs.m_sigma);
 }
 
-/// Evaluates λ(T★) per cell and the edge conductance diagonal `Mλ` into
-/// `bufs` (`cell_t`, `cell_lambda`, `m_lambda`).
-pub(crate) fn fill_lambda(model: &ElectrothermalModel, t_star: &[f64], bufs: &mut CoeffBufs) {
+/// Evaluates λ per cell at `bufs.cell_t` (see [`fill_cell_temperatures`])
+/// and the edge conductance diagonal `Mλ` into `bufs` (`cell_lambda`,
+/// `m_lambda`).
+pub(crate) fn fill_lambda(model: &ElectrothermalModel, bufs: &mut CoeffBufs) {
     let grid = model.grid();
-    let t_grid = &t_star[..grid.n_nodes()];
-    cell_temperatures_into(grid, t_grid, &mut bufs.cell_t);
     cell_property_into(
         grid,
         model.paint(),

@@ -124,15 +124,16 @@ impl CompiledModel {
         let mass_diag = self.mass_diag_for(wires);
         let q = vec![0.0; self.layout.n_total()];
 
+        assembly::fill_cell_temperatures(&self.model, &t0, &mut bufs);
         if !self.model.electric_dirichlet().is_empty() {
-            assembly::fill_sigma(&self.model, &t0, &mut bufs);
+            assembly::fill_sigma(&self.model, &mut bufs);
             let mut st = CachedStamper::new(&self.elec_map);
             assembly::stamp_electrical(&self.model, &self.layout, wires, &t0, &bufs, &mut st);
             st.finish();
             self.elec_template = Some(st);
         }
 
-        assembly::fill_lambda(&self.model, &t0, &mut bufs);
+        assembly::fill_lambda(&self.model, &mut bufs);
         assembly::stamp_thermal(
             &self.model,
             &self.layout,

@@ -182,12 +182,13 @@ pub struct SolverOptions {
     /// exact-mode campaigns are unaffected either way. Typical sweet spot:
     /// 8–32.
     pub batch_width: usize,
-    /// Inexact Picard: solve each transient thermal system only as tightly
-    /// as the coupling needs, after the forcing terms of Eisenstat &
-    /// Walker, "Choosing the forcing terms in an inexact Newton method",
-    /// SIAM J. Sci. Comput. 17 (1996). With `u_k` the (panel's largest)
-    /// relative Picard update of iterate `k`, the thermal CG tolerance of
-    /// iterate `k` is
+    /// Inexact Picard: solve each transient step's electrical and thermal
+    /// systems only as tightly as the coupling needs, after the forcing
+    /// terms of Eisenstat & Walker, "Choosing the forcing terms in an
+    /// inexact Newton method", SIAM J. Sci. Comput. 17 (1996). With `u_k`
+    /// the (panel's largest) relative Picard update of iterate `k`, the CG
+    /// tolerance of iterate `k`'s thermal solve, and of its electrical
+    /// solve under [`SolverOptions::resolve_electrical_every_picard`], is
     ///
     /// * `τ₁ = 1e-4` for `k = 1`;
     /// * `η · u_{k−1} · min(1, u_{k−1} / u_{k−2})` for `k ≥ 2`, with
@@ -196,22 +197,25 @@ pub struct SolverOptions {
     ///
     /// capped at `τ₁`, floored at `linear.tol_rel`, and exactly
     /// `linear.tol_rel` on the last iterate a step may take
-    /// (`picard_max_iter`), which no later iterate can correct. An iterate
-    /// counts towards [`SolverOptions::picard_tol`] only when its thermal
-    /// solve ran no looser than `max(picard_tol, linear.tol_rel)`: a loose
+    /// (`picard_max_iter`), which no later iterate can correct. A
+    /// re-solved potential only heats its own iterate, so it needs no
+    /// tighter solve than that iterate's temperature; a potential solved
+    /// once per step heats every iterate and runs at `linear.tol_rel`. An
+    /// iterate counts towards [`SolverOptions::picard_tol`] only when its
+    /// solves ran no looser than `max(picard_tol, linear.tol_rel)`: a loose
     /// solve that barely moves the temperature cannot claim convergence.
-    /// The electrical and stationary solves always run at
-    /// `linear.tol_rel`.
+    /// Stationary solves always run at `linear.tol_rel`.
     ///
     /// Off by default: the answer then moves within the Picard tolerance
     /// (`picard_tol × T`, ≈ 4e-5 K at 360 K) rather than the inner solver
     /// tolerance, and the default profile keeps its 1e-6 K agreement
     /// contracts between solve paths (a session rerun without a reset
     /// against a fresh one, batched vs scalar, a panel step redone member
-    /// by member). On in
-    /// [`SolverOptions::uq`], where it roughly halves the thermal CG work
-    /// of a campaign step. `bench_uq` turns it off in its `uq()` campaign:
-    /// that campaign pins 6 Picard iterates with `picard_tol = 0` and gates
+    /// by member). On in [`SolverOptions::uq`], where it roughly halves
+    /// the thermal CG work of a campaign step and cuts its electrical CG
+    /// work to about a third. `bench_uq` turns it off in its `uq()`
+    /// campaign: that campaign sets `picard_tol = 0`, so a step ends only
+    /// on an update of exactly zero or at `picard_max_iter`, and it gates
     /// config-to-config agreement at 1.5e-7 K, which forced iterates miss
     /// (~7e-7 K).
     pub picard_forcing: bool,

@@ -293,9 +293,11 @@ pub struct StepResult {
     pub linear_iterations: usize,
     /// Whether the Picard loop met its tolerance.
     pub converged: bool,
-    /// Relative CG tolerance of the last Picard iterate's thermal solve:
-    /// `linear.tol_rel` unless [`SolverOptions::picard_forcing`] is on. A
-    /// step redone as sub-steps reports the looser of its halves.
+    /// Relative CG tolerance of the last Picard iterate's electrical and
+    /// thermal solves (an electrical solve lagged from an earlier iterate
+    /// ran at `linear.tol_rel`): `linear.tol_rel` unless
+    /// [`SolverOptions::picard_forcing`] is on. A step redone as sub-steps
+    /// reports the looser of its halves.
     pub thermal_tol: f64,
     /// Joule power per wire (W).
     pub wire_powers: Vec<f64>,
@@ -868,6 +870,7 @@ impl Session {
     /// `scratch.t_star`, warm-starting from and writing to `phi_warm`.
     #[cfg(test)]
     fn solve_electrical(&mut self, phi_warm: &mut [f64]) -> Result<usize, CoreError> {
+        self.fill_cell_temperatures();
         if !self.assemble_electrical(phi_warm)? {
             return Ok(0);
         }
@@ -877,14 +880,22 @@ impl Session {
         Ok(iterations)
     }
 
+    /// Evaluates the cell temperatures of the lagged temperature
+    /// `scratch.t_star`, which the electrical and thermal assemblies of one
+    /// Picard iterate both read.
+    fn fill_cell_temperatures(&mut self) {
+        let s = &mut self.scratch;
+        assembly::fill_cell_temperatures(self.compiled.model(), &s.t_star, &mut s.coeff);
+    }
+
     /// The electrical assembly of one Picard iterate: conductivity
-    /// averaging at the lagged temperature `scratch.t_star`, stamping over
-    /// the cached template, and the reduced CG initial guess (the
-    /// restriction of `phi_warm` into `scratch.x_red`). The lagged
-    /// conductivities stay behind in the coefficient buffers for the
-    /// heat-source evaluation. Returns `false` when the model is undriven —
-    /// the potential is then identically zero, `phi_warm` has been zeroed,
-    /// and no solve is needed.
+    /// averaging at the cell temperatures of `scratch.t_star` (see
+    /// [`Session::fill_cell_temperatures`]), stamping over the cached
+    /// template, and the reduced CG initial guess (the restriction of
+    /// `phi_warm` into `scratch.x_red`). The lagged conductivities stay
+    /// behind in the coefficient buffers for the heat-source evaluation.
+    /// Returns `false` when the model is undriven — the potential is then
+    /// identically zero, `phi_warm` has been zeroed, and no solve is needed.
     fn assemble_electrical(&mut self, phi_warm: &mut [f64]) -> Result<bool, CoreError> {
         let Session {
             compiled,
@@ -894,7 +905,7 @@ impl Session {
             ..
         } = self;
         let model = compiled.model();
-        assembly::fill_sigma(model, &scratch.t_star, &mut scratch.coeff);
+        assembly::fill_sigma(model, &mut scratch.coeff);
         if model.electric_dirichlet().is_empty() {
             phi_warm.fill(0.0);
             return Ok(false);
@@ -981,8 +992,10 @@ impl Session {
     }
 
     /// The thermal assembly of one Picard iterate: stamps the thermal
-    /// system at the lagged temperature `scratch.t_star` and leaves the CG
-    /// initial guess in `scratch.x_red`.
+    /// system at the lagged temperature `scratch.t_star`, its conductivities
+    /// averaged at the cell temperatures of
+    /// [`Session::fill_cell_temperatures`], and leaves the CG initial guess
+    /// in `scratch.x_red`.
     ///
     /// `dt = None` means stationary (no mass term); `t_prev` is the
     /// previous time level (ignored when stationary).
@@ -998,7 +1011,7 @@ impl Session {
         } = self;
         let model = compiled.model();
         let layout = compiled.layout();
-        assembly::fill_lambda(model, &scratch.t_star, &mut scratch.coeff);
+        assembly::fill_lambda(model, &mut scratch.coeff);
 
         let stamper = if dt.is_some() {
             therm_stamper
@@ -1504,9 +1517,11 @@ fn step_panel(
 /// sources and thermal assembly, one thermal [`solve_panel`] and every
 /// member's Picard update; the loop ends when the largest update in the
 /// panel meets the tolerance. Under [`SolverOptions::picard_forcing`] a
-/// transient step's thermal solves run at [`forcing_tolerance`], and only an
-/// iterate solved no looser than `max(picard_tol, tol_rel)` may end the
-/// loop.
+/// transient step's thermal solves, and its electrical solves under
+/// [`SolverOptions::resolve_electrical_every_picard`], run at the iterate's
+/// [`forcing_tolerance`], and only an iterate solved no looser than
+/// `max(picard_tol, tol_rel)` may end the loop. Every other solve runs at
+/// `tol_rel`.
 fn coupled_solve(
     members: &mut [Session],
     t_prev: &[&[f64]],
@@ -1533,13 +1548,20 @@ fn coupled_solve(
     let mut update = f64::INFINITY;
     let tol_rel = options.linear.tol_rel;
     let forcing = options.picard_forcing && dt.is_some();
-    let mut thermal_tol = tol_rel;
+    // The CG tolerance of the current iterate's solves.
+    let mut solve_tol = tol_rel;
     // The panel's largest updates of the previous two iterates.
     let (mut u1, mut u2) = (f64::NAN, f64::NAN);
 
     let mut elec_solved = false;
     for pk in 1..=options.picard_max_iter {
         iterations = pk;
+        if forcing {
+            solve_tol = forcing_tolerance(options, pk, u1, u2);
+        }
+        for m in members.iter_mut() {
+            m.fill_cell_temperatures();
+        }
         if !elec_solved || options.resolve_electrical_every_picard {
             let mut driven = false;
             for (j, (m, phi)) in members.iter_mut().zip(phis.iter_mut()).enumerate() {
@@ -1548,7 +1570,14 @@ fn coupled_solve(
                     .map_err(|e| StepError::Failed(j, e))?;
             }
             if driven {
-                solve_panel(members, Subsystem::Electrical, panel, &mut linear, tol_rel)?;
+                // A potential solved once per step heats every iterate, so
+                // only one re-solved every iterate follows the forcing.
+                let tol = if options.resolve_electrical_every_picard {
+                    solve_tol
+                } else {
+                    tol_rel
+                };
+                solve_panel(members, Subsystem::Electrical, panel, &mut linear, tol)?;
                 for (m, phi) in members.iter().zip(phis.iter_mut()) {
                     m.expand_potential(phi);
                 }
@@ -1559,14 +1588,11 @@ fn coupled_solve(
             field_power[j] = m.heat_sources(phis[j]);
             m.assemble_thermal(t_prev[j], dt);
         }
-        if forcing {
-            thermal_tol = forcing_tolerance(options, pk, u1, u2);
-        }
-        let tight = thermal_tol <= options.picard_tol.max(tol_rel);
+        let tight = solve_tol <= options.picard_tol.max(tol_rel);
         if k > 1 && tight {
             panel.transplant(members, pk);
         }
-        solve_panel(members, thermal, panel, &mut linear, thermal_tol)?;
+        solve_panel(members, thermal, panel, &mut linear, solve_tol)?;
         let mut met = tight;
         for (j, m) in members.iter_mut().enumerate() {
             m.accept_thermal();
@@ -1601,7 +1627,7 @@ fn coupled_solve(
                 picard_iterations: iterations,
                 linear_iterations,
                 converged,
-                thermal_tol,
+                thermal_tol: solve_tol,
                 wire_powers: m.scratch.wire_powers.clone(),
                 field_power,
             }
@@ -1617,7 +1643,7 @@ const FORCING_ETA: f64 = 0.1;
 /// iterate's.
 const FORCING_TAU1: f64 = 1e-4;
 
-/// The thermal CG tolerance of Picard iterate `pk` of a transient step under
+/// The CG tolerance of Picard iterate `pk` of a transient step under
 /// [`SolverOptions::picard_forcing`], given the panel's largest updates `u1`
 /// and `u2` of iterates `pk − 1` and `pk − 2`: [`FORCING_TAU1`] first, then
 /// `η · u1 · min(1, u1/u2)`, capped at `τ₁` and floored at `tol_rel`;

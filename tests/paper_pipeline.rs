@@ -2,9 +2,12 @@
 //! package → synthetic X-ray → distribution fit → Monte Carlo → Fig. 7
 //! statistics.
 
-use etherm::core::{run_ensemble_batched, EnsembleOptions, Scenario, Session, SolverOptions};
+use etherm::core::{
+    run_ensemble_batched, EnsembleOptions, Scenario, Session, SolverOptions, TransientSolution,
+};
 use etherm::package::{
-    build_model, paper_elongation_distribution, BuildOptions, PackageGeometry, XrayMetrology,
+    build_model, paper_elongation_distribution, BuildOptions, BuiltPackage, PackageGeometry,
+    XrayMetrology,
 };
 use etherm::uq::dist::Distribution;
 use etherm::uq::{run_monte_carlo, McOptions, MonteCarloSampler};
@@ -114,6 +117,19 @@ fn elongation_increases_resistance_decreases_power() {
     );
 }
 
+/// The Fig. 7 package on the 0.9/0.5 mm mesh (5,100 DoFs).
+fn predictor_package() -> BuiltPackage {
+    build_model(
+        &PackageGeometry::paper(),
+        &BuildOptions {
+            target_spacing_xy: 0.9e-3,
+            target_spacing_z: 0.5e-3,
+            ..BuildOptions::paper_fig7()
+        },
+    )
+    .unwrap()
+}
+
 #[test]
 fn step_predictor_saves_picard_iterates() {
     // Ten 1 s steps of the Fig. 7 package on the 0.9/0.5 mm mesh (5,100
@@ -122,15 +138,7 @@ fn step_predictor_saves_picard_iterates() {
     // and the wire heat near the new time level. That takes 44 iterates
     // under both profiles and in a lock-step panel; starting every step
     // from Tₙ took 52.
-    let built = build_model(
-        &PackageGeometry::paper(),
-        &BuildOptions {
-            target_spacing_xy: 0.9e-3,
-            target_spacing_z: 0.5e-3,
-            ..BuildOptions::paper_fig7()
-        },
-    )
-    .unwrap();
+    let built = predictor_package();
     let mut peaks = Vec::new();
     for (name, options) in [
         ("default", SolverOptions::default()),
@@ -175,4 +183,69 @@ fn step_predictor_saves_picard_iterates() {
         peaks[0],
         peaks[1]
     );
+}
+
+/// The hottest wire temperature of a transient (K).
+fn peak_wire_temperature(sol: &TransientSolution) -> f64 {
+    sol.max_wire_series()
+        .into_iter()
+        .fold(f64::NEG_INFINITY, f64::max)
+}
+
+#[test]
+fn forcing_loosens_the_electrical_solves() {
+    // Ten 1 s steps on the mesh of `step_predictor_saves_picard_iterates`.
+    // Under `uq()`'s forcing, each Picard iterate solves its potential as
+    // tightly as its temperature: the early iterates' potentials are
+    // discarded with their temperatures, so their electrical CG stops at
+    // the forcing tolerance instead of 1e-9. That saves more than half of
+    // the electrical CG, on one session and in a lock-step panel, within
+    // the Picard tolerance of the unforced answer.
+    let built = predictor_package();
+    // Electrical CG iterations and peak wire temperatures of one session
+    // and of a panel of two samples.
+    let run = |options: SolverOptions| {
+        let mut session = Session::new(built.compile(options.clone()).unwrap());
+        let sol = session.run_transient(10.0, 10, &[]).unwrap();
+        let single = (
+            session.counters().electrical_iterations,
+            vec![peak_wire_temperature(&sol)],
+        );
+        let panel = SolverOptions {
+            batch_width: 2,
+            ..options
+        };
+        let compiled = Arc::new(built.compile(panel).unwrap());
+        let scenario = built.elongation_scenario(10.0, 10, |sol| vec![peak_wire_temperature(sol)]);
+        let samples = [vec![0.17; 12], vec![0.25; 12]];
+        let ensemble = EnsembleOptions {
+            n_threads: 1,
+            ..EnsembleOptions::default()
+        };
+        let r = run_ensemble_batched(&compiled, &scenario, &samples, &ensemble).unwrap();
+        let peaks = r.outputs.iter().map(|y| y[0]).collect();
+        [
+            ("session", single),
+            ("panel", (r.counters.electrical_iterations, peaks)),
+        ]
+    };
+    let unforced = SolverOptions {
+        picard_forcing: false,
+        ..SolverOptions::uq()
+    };
+    let picard_tol = SolverOptions::uq().picard_tol;
+    for ((name, (forced_cg, forced)), (_, (tight_cg, tight))) in
+        run(SolverOptions::uq()).into_iter().zip(run(unforced))
+    {
+        assert!(
+            2 * forced_cg < tight_cg,
+            "{name}: {forced_cg} electrical CG iterations forced, {tight_cg} unforced"
+        );
+        for (f, t) in forced.iter().zip(&tight) {
+            assert!(
+                (f - t).abs() <= picard_tol * t,
+                "{name}: peak wire temperature {f} K forced vs {t} K unforced"
+            );
+        }
+    }
 }
