@@ -5,7 +5,7 @@
 //! Three campaigns on the paper package, all at tight tolerances:
 //!
 //! 1. `clean` — the same elongation campaign with recovery **disabled**
-//!    (`RecoveryPolicy::disabled()`) and with the **default** ladder. No
+//!    (`SolverOptions::recovery = false`) and with the **default** ladder. No
 //!    fault fires, so the ladder must never engage: the outputs are
 //!    asserted bit-identical, and the wall-time overhead of carrying the
 //!    resilience machinery is gated below 2 % (full profile; reported but
@@ -31,7 +31,7 @@ use etherm_bench::{
 };
 use etherm_core::{
     run_ensemble, CompiledModel, CoreError, EnsembleOptions, EnsembleResult, Fault, FailurePolicy,
-    FaultKind, FaultPlan, RecoveryPolicy, Scenario, Session, SolverOptions,
+    FaultKind, FaultPlan, Scenario, Session, SolverOptions,
 };
 use etherm_package::{
     build_model, paper_elongation_distribution, BuildOptions, PackageGeometry,
@@ -94,10 +94,9 @@ fn main() {
     let inputs = draw_samples(&mut gen, &dists, samples);
 
     let opts_default = SolverOptions::fast();
-    let opts_disabled = {
-        let mut o = SolverOptions::fast();
-        o.recovery = RecoveryPolicy::disabled();
-        o
+    let opts_disabled = SolverOptions {
+        recovery: false,
+        ..SolverOptions::fast()
     };
     let compiled_default: Arc<CompiledModel> =
         Arc::new(built.compile(opts_default.clone()).expect("compiles"));

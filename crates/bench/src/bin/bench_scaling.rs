@@ -19,7 +19,7 @@
 //! - `--quick`: two coarse meshes + 3 steps for CI smoke runs
 //! - `--steps N`: transient steps per run (default 10; dt stays the paper's
 //!   1 s)
-//! - `--fill K` / `--droptol T`: knobs of the IC reference configuration
+//! - `--fill K`: the fill level of the IC reference configuration
 //! - `--out PATH`: output path (default `BENCH_scaling.json`)
 
 use etherm_bench::{arg_f64, arg_flag, arg_usize, arg_value, timed_transient_run, RunRecord};
@@ -59,7 +59,6 @@ fn main() {
 
     let ic_options = SolverOptions {
         preconditioner: PrecondKind::Ic(arg_usize("fill", 1)),
-        precond_droptol: arg_f64("droptol", SolverOptions::default().precond_droptol),
         ..SolverOptions::default()
     };
     let amg_options = SolverOptions {

@@ -13,8 +13,7 @@
 //! - `--steps N` / `--t-end S` / `--mesh-xy M` / `--mesh-z M`: problem size
 //!   (defaults: the paper run, 50 steps over 50 s)
 //! - `--quick`: small grid + 5 steps for CI smoke runs
-//! - `--fill K` / `--droptol T` / `--reuses N` / `--refresh-factor F`:
-//!   solver knobs of the lazy configuration
+//! - `--fill K` / `--reuses N`: solver knobs of the lazy configuration
 //! - `--amg`: use the AMG preconditioner in the lazy configuration instead
 //!   of IC
 //! - `--reference-wall-s W` / `--reference-label L`: embed an externally
@@ -50,15 +49,12 @@ fn main() {
     } else {
         PrecondKind::Ic(arg_usize("fill", 1))
     };
-    lazy.precond_droptol = arg_f64("droptol", lazy.precond_droptol);
     lazy.precond_max_reuses = arg_usize("reuses", lazy.precond_max_reuses);
-    lazy.precond_refresh_factor = arg_f64("refresh-factor", lazy.precond_refresh_factor);
 
     // Reference configuration: cache disabled (rebuild before every solve)
     // with the seed's zero-fill IC(0) factorization.
     let reference = SolverOptions {
         preconditioner: PrecondKind::Ic(0),
-        precond_droptol: 0.0,
         ..SolverOptions::rebuild_every_solve()
     };
 

@@ -955,28 +955,55 @@ mod tests {
         (compiled, samples()[..4].to_vec())
     }
 
+    /// [`LengthScenario`] under a 5-iteration budget, set on every sample's
+    /// session as a serving front end sets its class budgets.
+    struct Budgeted;
+    impl Scenario for Budgeted {
+        fn apply(&self, session: &mut Session, sample: &[f64]) -> Result<(), CoreError> {
+            session.set_iteration_budget(5);
+            LengthScenario.apply(session, sample)
+        }
+        fn evaluate(&self, session: &mut Session) -> Result<Vec<f64>, CoreError> {
+            LengthScenario.evaluate(session)
+        }
+    }
+    impl BatchScenario for Budgeted {
+        fn t_end(&self) -> f64 {
+            LengthScenario.t_end()
+        }
+        fn n_steps(&self) -> usize {
+            LengthScenario.n_steps()
+        }
+        fn qoi(&self, solution: &TransientSolution) -> Vec<f64> {
+            LengthScenario.qoi(solution)
+        }
+    }
+
     #[test]
     fn batched_enforces_the_iteration_budget() {
-        let mut options = pinned_options(2);
-        options.recovery.linear_iteration_budget = 5;
-        let (compiled, samples) = batched_pair(options);
-        let err = run_ensemble_batched(
-            &compiled,
-            &LengthScenario,
-            &samples,
-            &EnsembleOptions::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::EnsembleFailed { .. }), "{err}");
-        let mut source: Option<&dyn std::error::Error> = Some(&err);
-        let mut budget = false;
-        while let Some(e) = source {
-            if let Some(CoreError::BudgetExhausted { budget: 5, .. }) = e.downcast_ref() {
-                budget = true;
+        // Width 1 runs the scalar path, width 2 the panel path.
+        for width in [1, 2] {
+            let (compiled, samples) = batched_pair(pinned_options(width));
+            let err =
+                run_ensemble_batched(&compiled, &Budgeted, &samples, &EnsembleOptions::default())
+                    .unwrap_err();
+            assert!(
+                matches!(err, CoreError::EnsembleFailed { .. }),
+                "width {width}: {err}"
+            );
+            let mut source: Option<&dyn std::error::Error> = Some(&err);
+            let mut budget = false;
+            while let Some(e) = source {
+                if let Some(CoreError::BudgetExhausted { budget: 5, .. }) = e.downcast_ref() {
+                    budget = true;
+                }
+                source = e.source();
             }
-            source = e.source();
+            assert!(
+                budget,
+                "width {width}: no BudgetExhausted in the source chain of {err}"
+            );
         }
-        assert!(budget, "no BudgetExhausted in the source chain of {err}");
     }
 
     #[test]
@@ -1149,7 +1176,6 @@ mod tests {
 
     #[test]
     fn forced_width_one_and_ladder_off_are_bit_identical() {
-        use crate::options::RecoveryPolicy;
         let samples = samples();
         let scalar = Arc::new(
             CompiledModel::compile(wire_model(), forced(SolverOptions::default())).unwrap(),
@@ -1183,7 +1209,7 @@ mod tests {
             CompiledModel::compile(
                 wire_model(),
                 SolverOptions {
-                    recovery: RecoveryPolicy::disabled(),
+                    recovery: false,
                     ..forced(SolverOptions::default())
                 },
             )

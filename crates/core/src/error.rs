@@ -28,7 +28,7 @@ pub enum CoreError {
         detail: &'static str,
     },
     /// The run exhausted its total linear-iteration budget
-    /// ([`crate::RecoveryPolicy::linear_iteration_budget`]).
+    /// ([`crate::Session::set_iteration_budget`]).
     BudgetExhausted {
         /// The configured budget.
         budget: usize,

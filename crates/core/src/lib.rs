@@ -67,6 +67,6 @@ pub use model::{ElectrothermalModel, WireAttachment};
 pub use observer::{
     ObservedTransient, ObserverAction, StepObserver, StepRecord, ThresholdObserver,
 };
-pub use options::{JouleScheme, PrecondKind, RecoveryPolicy, SolverOptions};
+pub use options::{JouleScheme, PrecondKind, SolverOptions};
 pub use session::{RecoveryLedger, Session, SolveCounters, StationaryResult, StepResult};
 pub use solution::TransientSolution;

@@ -62,78 +62,6 @@ impl Default for PrecondKind {
     }
 }
 
-/// Escalation ladder applied when an inner linear solve fails (iteration
-/// cap, SPD breakdown, non-finite contamination).
-///
-/// The rungs fire in order, each bounded, each recorded in the run's
-/// [`crate::RecoveryLedger`]:
-///
-/// 1. plain retry from the saved pre-solve state (`max_retries` times) —
-///    catches transient contamination without touching the preconditioner,
-///    so a successful retry is bit-identical to an undisturbed solve;
-/// 2. forced preconditioner refresh (in place, frozen pattern);
-/// 3. preconditioner downgrade (`Amg` → `Ic(1)` → `Jacobi`; every `Ic(k)`
-///    falls to `Jacobi`, the bottom rung), sticky for the rest of the
-///    session until the cache is cleared;
-/// 4. at the step level, halve `dt` and redo the step as two sub-steps
-///    (`max_dt_halvings` levels of recursion).
-///
-/// `RecoveryPolicy::disabled()` reproduces the historical fail-fast
-/// behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Plain same-configuration retries per solve before escalating.
-    pub max_retries: usize,
-    /// Whether a failing solve may force a preconditioner refresh even when
-    /// the factorization is fresh.
-    pub forced_refresh: bool,
-    /// Whether the ladder may downgrade the preconditioner kind.
-    pub precond_fallback: bool,
-    /// Maximum levels of `dt`-halving recursion per transient step
-    /// (`2` means a step may shrink to `dt/4` sub-steps).
-    pub max_dt_halvings: usize,
-    /// Total Krylov-iteration budget for one run (`run_transient` /
-    /// stationary solve), summed over all solves *including* recovery
-    /// attempts. `0` disables the budget. Exceeding it aborts the run with
-    /// [`crate::CoreError::BudgetExhausted`] — the backstop that keeps a
-    /// pathological sample from burning a whole campaign's CPU.
-    pub linear_iteration_budget: usize,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 1,
-            forced_refresh: true,
-            precond_fallback: true,
-            max_dt_halvings: 2,
-            linear_iteration_budget: 0,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// No escalation at all: the first hard failure propagates, reproducing
-    /// the historical fail-fast behavior.
-    pub fn disabled() -> Self {
-        RecoveryPolicy {
-            max_retries: 0,
-            forced_refresh: false,
-            precond_fallback: false,
-            max_dt_halvings: 0,
-            linear_iteration_budget: 0,
-        }
-    }
-
-    /// Whether every rung of the ladder is off.
-    pub fn is_disabled(&self) -> bool {
-        self.max_retries == 0
-            && !self.forced_refresh
-            && !self.precond_fallback
-            && self.max_dt_halvings == 0
-    }
-}
-
 /// Options of the coupled transient solver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverOptions {
@@ -153,25 +81,22 @@ pub struct SolverOptions {
     /// classic weak-coupling scheme, accurate to `O(Δt)` like the implicit
     /// Euler method itself and ~35 % faster on package-sized models.
     pub resolve_electrical_every_picard: bool,
-    /// Lazy-refresh trigger: a cached preconditioner is refreshed (in place,
-    /// over the frozen sparsity pattern) when a solve needs more than
-    /// `precond_refresh_factor ×` the CG iterations of the first solve after
-    /// the last (re)build. `1.0` effectively refreshes every solve;
-    /// `f64::INFINITY` disables the degradation trigger.
-    pub precond_refresh_factor: f64,
     /// Forced refresh after this many consecutive solves reusing the same
     /// factorization. `0` rebuilds every solve (the pre-cache behavior,
     /// useful as a benchmark baseline); large values leave refreshes to the
-    /// degradation trigger alone.
+    /// degradation trigger alone (a solve costing more than 1.5 × the first
+    /// solve after the last (re)build refreshes the factorization in place).
     pub precond_max_reuses: usize,
-    /// Drop tolerance for incomplete-Cholesky fill (`PrecondKind::Ic` with
-    /// level ≥ 1): fill entries with `|L[i,j]| < τ·√(L[i,i]·L[j,j])` are
-    /// pruned from the factor pattern after the first factorization. On the
-    /// paper package, `0.01` halves the triangular-sweep cost at unchanged
-    /// CG iteration counts. `0.0` keeps the full structural pattern.
-    pub precond_droptol: f64,
-    /// Escalation ladder applied when an inner solve fails.
-    pub recovery: RecoveryPolicy,
+    /// The recovery ladder for a failing inner solve (iteration cap, SPD
+    /// breakdown, non-finite contamination). Its rungs fire in order, each
+    /// recorded in the run's [`crate::RecoveryLedger`]: one plain retry from
+    /// the saved pre-solve state (bit-identical to an undisturbed solve when
+    /// it succeeds), a forced in-place preconditioner refresh, downgrades
+    /// `Amg` → `Ic(1)` → `Jacobi` that stick until the cache is cleared, and
+    /// at the step level two levels of halving `dt`. `false` fails fast,
+    /// except that a solve on a reused preconditioner still gets one
+    /// refresh-and-retry. Clean runs are bit-identical either way.
+    pub recovery: bool,
     /// Panel width of the batched ensemble fast path
     /// ([`crate::run_ensemble_batched`]): a batched campaign groups this
     /// many same-model samples per worker and advances them in lock step,
@@ -234,10 +159,8 @@ impl Default for SolverOptions {
             picard_max_iter: 25,
             joule: JouleScheme::CellBased,
             resolve_electrical_every_picard: true,
-            precond_refresh_factor: 1.5,
             precond_max_reuses: 64,
-            precond_droptol: 0.01,
-            recovery: RecoveryPolicy::default(),
+            recovery: true,
             batch_width: 0,
             picard_forcing: false,
         }
@@ -301,8 +224,8 @@ mod tests {
         assert_eq!(o.preconditioner, PrecondKind::Ic(1));
         assert!(o.picard_tol > 0.0 && o.picard_tol < 1e-3);
         assert!(o.picard_max_iter >= 10);
-        assert!(o.precond_refresh_factor > 1.0);
         assert!(o.precond_max_reuses > 0);
+        assert!(o.recovery, "the recovery ladder is on by default");
         assert_eq!(o.batch_width, 0, "batching must be opt-in");
     }
 
@@ -325,18 +248,6 @@ mod tests {
         assert_eq!(PrecondKind::Jacobi.describe(), "jacobi");
         assert_eq!(PrecondKind::Ic(1).describe(), "ic(1)");
         assert_eq!(PrecondKind::Amg.describe(), "amg(theta=0.08,omega=1)");
-    }
-
-    #[test]
-    fn recovery_defaults_and_disabled() {
-        let r = RecoveryPolicy::default();
-        assert_eq!(r.max_retries, 1);
-        assert!(r.forced_refresh && r.precond_fallback);
-        assert_eq!(r.max_dt_halvings, 2);
-        assert_eq!(r.linear_iteration_budget, 0);
-        assert!(!r.is_disabled());
-        assert!(RecoveryPolicy::disabled().is_disabled());
-        assert_eq!(SolverOptions::default().recovery, RecoveryPolicy::default());
     }
 
     #[test]

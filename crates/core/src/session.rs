@@ -38,7 +38,7 @@ use crate::assembly::{self, CoeffBufs};
 use crate::compiled::CompiledModel;
 use crate::error::CoreError;
 use crate::observer::{ObservedTransient, ObserverAction, StepObserver, StepRecord};
-use crate::options::{JouleScheme, PrecondKind, RecoveryPolicy, SolverOptions};
+use crate::options::{JouleScheme, PrecondKind, SolverOptions};
 use crate::solution::TransientSolution;
 use etherm_bondwire::stamp::wire_joule_heat;
 use etherm_fit::CachedStamper;
@@ -64,18 +64,17 @@ enum CachedPrecond {
 impl CachedPrecond {
     /// Builds a preconditioner of an explicit kind — the recovery ladder's
     /// downgrade rung builds a *different* kind than the configured one.
-    fn build_kind(
-        kind: PrecondKind,
-        options: &SolverOptions,
-        a: &Csr,
-    ) -> Result<Self, NumericsError> {
+    ///
+    /// An `Ic(level ≥ 1)` factor drops fill below `0.01·√(L[i,i]·L[j,j])`
+    /// after its first factorization, halving the triangular-sweep cost on
+    /// the paper package at unchanged CG iteration counts.
+    fn build_kind(kind: PrecondKind, a: &Csr) -> Result<Self, NumericsError> {
+        const IC_DROP_TOL: f64 = 0.01;
         Ok(match kind {
             PrecondKind::Jacobi => CachedPrecond::Jacobi(JacobiPrecond::new(a)?),
-            PrecondKind::Ic(level) => CachedPrecond::Ic(IncompleteCholesky::with_fill_drop(
-                a,
-                level,
-                options.precond_droptol,
-            )?),
+            PrecondKind::Ic(level) => {
+                CachedPrecond::Ic(IncompleteCholesky::with_fill_drop(a, level, IC_DROP_TOL)?)
+            }
             PrecondKind::Amg => {
                 CachedPrecond::Amg(Box::new(AmgPrecond::new(a, AmgOptions::default())?))
             }
@@ -148,34 +147,93 @@ struct SubsystemCache {
 }
 
 impl SubsystemCache {
-    fn mark_rebuilt(&mut self) {
-        self.baseline = None;
-        self.reuses = 0;
+    /// The lazy-refresh policy before a solve of `a`: (re)builds the
+    /// preconditioner when there is none or after
+    /// [`SolverOptions::precond_max_reuses`] reuses, and otherwise counts a
+    /// reuse. Returns whether the preconditioner is fresh.
+    fn before_solve(
+        &mut self,
+        options: &SolverOptions,
+        counters: &mut SolveCounters,
+        a: &Csr,
+        fault: Option<&FaultInjector>,
+    ) -> Result<bool, NumericsError> {
+        if self.precond.is_none() || self.reuses >= options.precond_max_reuses {
+            self.refresh_or_rebuild(options, counters, a, fault)?;
+            return Ok(true);
+        }
+        self.reuses += 1;
+        counters.precond_reuses += 1;
+        Ok(false)
     }
 
-    /// The degradation trigger of the lazy-refresh policy: records the
-    /// first converged solve after a (re)build as the baseline and reports
-    /// whether a later one cost more than `factor ×` it.
-    fn degraded(&mut self, effort: Effort, factor: f64) -> bool {
-        match &self.baseline {
-            None => {
-                self.baseline = Some(effort);
-                false
-            }
-            Some(base) => effort.exceeds(base, factor),
+    /// The lazy-refresh policy after a converged solve that spent `effort`:
+    /// the first solve after a (re)build becomes the baseline, and a later
+    /// one that cost more than [`REFRESH_FACTOR`] × it refreshes the
+    /// preconditioner from `a` eagerly, so the next solve starts from
+    /// current values. A `fresh` preconditioner is not refreshed again.
+    fn after_solve(
+        &mut self,
+        options: &SolverOptions,
+        counters: &mut SolveCounters,
+        effort: Effort,
+        fresh: bool,
+        a: &Csr,
+        fault: Option<&FaultInjector>,
+    ) -> Result<(), NumericsError> {
+        // A solve that becomes the baseline never exceeds itself.
+        if effort.exceeds(self.baseline.get_or_insert(effort), REFRESH_FACTOR) && !fresh {
+            self.refresh_or_rebuild(options, counters, a, fault)?;
         }
+        Ok(())
+    }
+
+    /// Refreshes the preconditioner in place from `a` — or (re)builds it at
+    /// the cache's current fallback kind when it is missing, when the
+    /// in-place refresh fails (pattern change or numeric breakdown with
+    /// every shift), or when a planned `RefreshFail` fault vetoes the
+    /// refresh.
+    fn refresh_or_rebuild(
+        &mut self,
+        options: &SolverOptions,
+        counters: &mut SolveCounters,
+        a: &Csr,
+        fault: Option<&FaultInjector>,
+    ) -> Result<(), NumericsError> {
+        let kind = effective_kind(options, self.fallback_level);
+        match self.precond.as_mut() {
+            Some(p) => {
+                let refresh_vetoed = fault.is_some_and(|f| f.refresh_fault());
+                if refresh_vetoed || p.refresh(a).is_err() {
+                    *p = CachedPrecond::build_kind(kind, a)?;
+                }
+            }
+            None => self.precond = Some(CachedPrecond::build_kind(kind, a)?),
+        }
+        let coarse_dim = self.precond.as_ref().and_then(|p| p.coarse_dim());
+        self.baseline = None;
+        self.reuses = 0;
+        counters.precond_rebuilds += 1;
+        if let Some(nc) = coarse_dim {
+            counters.peak_coarse_dim = counters.peak_coarse_dim.max(nc);
+        }
+        Ok(())
     }
 
     /// Drops the cached preconditioner (exact-mode reset): the next solve
-    /// rebuilds from scratch, exactly like a fresh session. Also forgets
+    /// rebuilds from scratch, exactly like a fresh session, which also
+    /// restarts the refresh policy's baseline and reuse count. Also forgets
     /// any recovery downgrade of the preconditioner kind.
     fn clear(&mut self) {
         self.precond = None;
         self.fallback_level = 0;
-        self.guess_backup.clear();
-        self.mark_rebuilt();
     }
 }
+
+/// The lazy-refresh trigger: a cached preconditioner is refreshed in place
+/// when a solve costs more than this many times the first solve after the
+/// last (re)build (see [`Effort::exceeds`]).
+const REFRESH_FACTOR: f64 = 1.5;
 
 /// What the lazy-refresh trigger knows of one converged solve.
 #[derive(Debug, Clone, Copy)]
@@ -430,14 +488,11 @@ pub struct Session {
     /// ([`Session::set_fault_plan`]); `None` on the production path.
     fault: Option<FaultInjector>,
     /// Krylov iterations spent in the current run, charged against
-    /// [`RecoveryPolicy::linear_iteration_budget`].
+    /// `iteration_budget`.
     budget_spent: usize,
-    /// Per-session override of the compiled options'
-    /// [`RecoveryPolicy::linear_iteration_budget`]
-    /// ([`Session::set_iteration_budget`]): a serving front end assigns
-    /// budgets per request class without recompiling the shared model.
-    /// `None` defers to the compiled options; `Some(0)` means unlimited.
-    budget_override: Option<usize>,
+    /// Per-run Krylov iteration budget ([`Session::set_iteration_budget`];
+    /// `0` = unlimited).
+    iteration_budget: usize,
 }
 
 impl Session {
@@ -469,7 +524,7 @@ impl Session {
             counters: SolveCounters::default(),
             fault: None,
             budget_spent: 0,
-            budget_override: None,
+            iteration_budget: 0,
         }
     }
 
@@ -498,32 +553,16 @@ impl Session {
         self.counters = SolveCounters::default();
     }
 
-    /// Snapshot of the cumulative recovery-ladder ledger — the health
-    /// signal a serving front end sheds load on. Equivalent to
-    /// `counters().recovery`, published directly so monitoring code does
-    /// not depend on the full counter layout.
-    pub fn recovery_ledger(&self) -> RecoveryLedger {
-        self.counters.recovery
-    }
-
-    /// Overrides the compiled options'
-    /// [`RecoveryPolicy::linear_iteration_budget`] for this session only:
-    /// subsequent runs abort with [`CoreError::BudgetExhausted`] once their
-    /// spent Krylov iterations reach `budget`. `Some(0)` disables the cap;
-    /// `None` restores the compiled options' budget. The override is a
-    /// session *parameter* like the wire lengths — it survives
-    /// [`Session::reset`] — so a pool can assign budgets per request class
-    /// over one shared [`CompiledModel`].
-    pub fn set_iteration_budget(&mut self, budget: Option<usize>) {
-        self.budget_override = budget;
-    }
-
-    /// The effective per-run Krylov iteration budget (`0` = unlimited):
-    /// the [`Session::set_iteration_budget`] override when set, otherwise
-    /// the compiled options' budget.
-    pub fn iteration_budget(&self) -> usize {
-        self.budget_override
-            .unwrap_or(self.compiled.options().recovery.linear_iteration_budget)
+    /// Caps the Krylov iterations of each subsequent run (`run_transient`,
+    /// a stationary solve), summed over all its solves *including*
+    /// recovery attempts: a run aborts with [`CoreError::BudgetExhausted`]
+    /// once its spent iterations reach `budget` — the backstop that keeps a
+    /// pathological sample from burning a whole campaign's CPU. `0`, the
+    /// default, is unlimited. The budget is a session *parameter* like the
+    /// wire lengths — it survives [`Session::reset`] — so a pool can assign
+    /// budgets per request class over one shared [`CompiledModel`].
+    pub fn set_iteration_budget(&mut self, budget: usize) {
+        self.iteration_budget = budget;
     }
 
     /// Installs (or removes, with `None`) a deterministic fault plan: the
@@ -623,7 +662,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns solver failures.
+    /// Returns [`CoreError::InvalidModel`] for a non-positive or non-finite
+    /// `dt`, or when `t_prev` or `phi_warm` is not a full state vector
+    /// (see [`Session::initial_temperature`]); otherwise solver failures.
     pub fn step(
         &mut self,
         t_prev: &[f64],
@@ -632,6 +673,13 @@ impl Session {
     ) -> Result<StepResult, CoreError> {
         if !(dt > 0.0 && dt.is_finite()) {
             return Err(CoreError::InvalidModel(format!("invalid time step {dt}")));
+        }
+        let n = self.compiled.layout().n_total();
+        let lens = (t_prev.len(), phi_warm.len());
+        if lens != (n, n) {
+            return Err(CoreError::InvalidModel(format!(
+                "state and potential lengths {lens:?}, the model has {n} DoFs"
+            )));
         }
         self.solve_coupled(t_prev, Some(dt), phi_warm)
     }
@@ -1091,15 +1139,6 @@ impl Session {
         }
     }
 
-    /// The recovery policy of this session's runs: the compiled options'
-    /// policy under the [`Session::set_iteration_budget`] override.
-    fn recovery(&self) -> RecoveryPolicy {
-        RecoveryPolicy {
-            linear_iteration_budget: self.iteration_budget(),
-            ..self.compiled.options().recovery
-        }
-    }
-
     /// The system of `system` assembled by the last stamping round (`None`
     /// before the first, or for an undriven model).
     fn assembled(&self, system: Subsystem) -> Option<(&Csr, &[f64])> {
@@ -1127,7 +1166,6 @@ impl Session {
     /// `scratch.x_red` on entry, the solution there on exit. Returns the
     /// iterations spent.
     fn solve_alone(&mut self, system: Subsystem, tol: f64) -> Result<usize, CoreError> {
-        let recovery = self.recovery();
         let Session {
             compiled,
             elec_stamper,
@@ -1140,6 +1178,7 @@ impl Session {
             counters,
             fault,
             budget_spent,
+            iteration_budget,
             ..
         } = self;
         let (assembled, cache) = match system {
@@ -1156,7 +1195,7 @@ impl Session {
         let (a, b) = assembled.ok_or_else(|| not_assembled(system))?;
         solve_reduced(
             compiled.options(),
-            &recovery,
+            *iteration_budget,
             counters,
             cache,
             system,
@@ -1358,7 +1397,11 @@ pub(crate) fn run_fixed_step(
         }
     }
 
-    let max_halvings = compiled.options().recovery.max_dt_halvings;
+    let max_halvings = if compiled.options().recovery {
+        MAX_DT_HALVINGS
+    } else {
+        0
+    };
     for step in 1..=n_steps {
         if runs[0].stopped_early {
             break;
@@ -1694,10 +1737,9 @@ fn solve_panel(
 
 /// One block PCG to relative tolerance `tol` over the members'
 /// same-pattern matrices, preconditioned by the group preconditioner in
-/// `cache` under the lazy-refresh policy of [`solve_reduced`]: rebuilt after
-/// `precond_max_reuses` reuses, and eagerly refreshed when the panel's
-/// slowest column costs more than `precond_refresh_factor` times the first
-/// solve's slowest column; `owner` counts the builds and reuses. Every
+/// `cache` under the lazy-refresh policy of [`solve_reduced`], its trigger
+/// read on the panel's slowest column; `owner` counts the builds and
+/// reuses. Every
 /// member checks its iteration budget and consults its fault plan first,
 /// as [`solve_reduced`] does. A planned fault, a breakdown, a non-finite
 /// column or an unconverged column fails with a retryable error; there is
@@ -1715,7 +1757,7 @@ fn block_solve(
     let compiled = Arc::clone(&members[0].compiled);
     let options = compiled.options();
     for (j, m) in members.iter().enumerate() {
-        check_budget(&m.recovery(), m.budget_spent).map_err(|e| StepError::Failed(j, e))?;
+        check_budget(m.iteration_budget, m.budget_spent).map_err(|e| StepError::Failed(j, e))?;
         if m.fault.as_ref().is_some_and(FaultInjector::begin_solve) {
             return Err(StepError::FaultPlanned);
         }
@@ -1732,22 +1774,10 @@ fn block_solve(
         panel.x.copy_col_from(j, &m.scratch.x_red);
         mats.push(a);
     }
-    let owner_fault = members[0].fault.as_ref();
-    let fresh = cache.precond.is_none() || cache.reuses >= options.precond_max_reuses;
-    if fresh {
-        refresh_or_rebuild(options, owner, cache, mats[0], owner_fault)
-            .map_err(|e| StepError::Failed(0, e.into()))?;
-    } else {
-        cache.reuses += 1;
-        owner.precond_reuses += 1;
-    }
-    let Some(precond) = cache.precond.as_ref() else {
-        // Unreachable: built or refreshed above.
-        return Err(StepError::Failed(
-            0,
-            CoreError::InvalidModel("preconditioner missing after build".into()),
-        ));
-    };
+    let fresh = cache
+        .before_solve(options, owner, mats[0], members[0].fault.as_ref())
+        .map_err(|e| StepError::Failed(0, e.into()))?;
+    let precond = built(&cache.precond).map_err(|e| StepError::Failed(0, e))?;
     Csr::pack_batch_values(&mats, &mut panel.packed);
     let nnz = mats[0].values().len();
     let op = CsrBatch::from_packed(mats[0], &panel.packed[..nnz * k]);
@@ -1789,14 +1819,20 @@ fn block_solve(
         }
     }
     let effort = Effort::of(&panel.reports[slowest], tol);
-    let degraded = cache.degraded(effort, options.precond_refresh_factor);
-    if let (true, false, Some((a0, _))) = (degraded, fresh, members[0].assembled(system)) {
-        // Refresh eagerly so the next panel solve starts from current
-        // values.
-        refresh_or_rebuild(options, owner, cache, a0, members[0].fault.as_ref())
-            .map_err(|e| StepError::Failed(0, e.into()))?;
-    }
-    Ok(())
+    let (a0, _) = members[0]
+        .assembled(system)
+        .ok_or_else(|| StepError::Failed(0, not_assembled(system)))?;
+    cache
+        .after_solve(options, owner, effort, fresh, a0, members[0].fault.as_ref())
+        .map_err(|e| StepError::Failed(0, e.into()))
+}
+
+/// The preconditioner a solve runs with, which [`SubsystemCache::before_solve`]
+/// has just built or reused (the error is unreachable).
+fn built(precond: &Option<CachedPrecond>) -> Result<&CachedPrecond, CoreError> {
+    precond
+        .as_ref()
+        .ok_or_else(|| CoreError::InvalidModel("preconditioner missing after build".into()))
 }
 
 /// The error for a solve of `system` before its first assembly.
@@ -1838,46 +1874,20 @@ fn numerics_error_is_retryable(e: &NumericsError) -> bool {
 }
 
 /// Errors [`CoreError::BudgetExhausted`] once the run's spent Krylov
-/// iterations reach the policy's budget (`0` = unlimited).
-fn check_budget(recovery: &RecoveryPolicy, spent: usize) -> Result<(), CoreError> {
-    if recovery.linear_iteration_budget > 0 && spent >= recovery.linear_iteration_budget {
-        return Err(CoreError::BudgetExhausted {
-            budget: recovery.linear_iteration_budget,
-            spent,
-        });
+/// iterations reach its `budget` (`0` = unlimited).
+fn check_budget(budget: usize, spent: usize) -> Result<(), CoreError> {
+    if budget > 0 && spent >= budget {
+        return Err(CoreError::BudgetExhausted { budget, spent });
     }
     Ok(())
 }
 
-/// Refreshes `cache`'s preconditioner in place from `a` — or (re)builds it
-/// at the cache's current fallback kind when it is missing, when the
-/// in-place refresh fails (pattern change or numeric breakdown with every
-/// shift), or when a planned `RefreshFail` fault vetoes the refresh.
-fn refresh_or_rebuild(
-    options: &SolverOptions,
-    counters: &mut SolveCounters,
-    cache: &mut SubsystemCache,
-    a: &Csr,
-    fault: Option<&FaultInjector>,
-) -> Result<(), NumericsError> {
-    let kind = effective_kind(options, cache.fallback_level);
-    match cache.precond.as_mut() {
-        Some(p) => {
-            let refresh_vetoed = fault.is_some_and(|f| f.refresh_fault());
-            if refresh_vetoed || p.refresh(a).is_err() {
-                *p = CachedPrecond::build_kind(kind, options, a)?;
-            }
-        }
-        None => cache.precond = Some(CachedPrecond::build_kind(kind, options, a)?),
-    }
-    let coarse_dim = cache.precond.as_ref().and_then(|p| p.coarse_dim());
-    cache.mark_rebuilt();
-    counters.precond_rebuilds += 1;
-    if let Some(nc) = coarse_dim {
-        counters.peak_coarse_dim = counters.peak_coarse_dim.max(nc);
-    }
-    Ok(())
-}
+/// Plain same-configuration retries per failing solve under
+/// [`SolverOptions::recovery`], before the ladder escalates.
+const MAX_RETRIES: usize = 1;
+/// Levels of `dt`-halving per transient step under
+/// [`SolverOptions::recovery`] (sub-steps of `dt/4` at the deepest).
+const MAX_DT_HALVINGS: usize = 2;
 
 /// One escalation rung of the solve-level recovery ladder.
 #[derive(Debug, Clone, Copy)]
@@ -1897,23 +1907,24 @@ enum Rung {
 ///
 /// Lazy-refresh policy: the factorization is reused until either (a) it has
 /// served [`SolverOptions::precond_max_reuses`] solves, or (b) a converged
-/// solve costs more than [`SolverOptions::precond_refresh_factor`] times
-/// the first solve after the last (re)build — in iterations at the same
-/// relative tolerance `tol`, in iterations per decade of residual reduction
-/// at another — then it is refreshed in place over the frozen pattern.
+/// solve costs more than [`REFRESH_FACTOR`] times the first solve after the
+/// last (re)build — in iterations at the same relative tolerance `tol`, in
+/// iterations per decade of residual reduction at another — then it is
+/// refreshed in place over the frozen pattern
+/// ([`SubsystemCache::before_solve`], [`SubsystemCache::after_solve`]).
 ///
-/// Failure handling follows [`RecoveryPolicy`]: retryable failures
+/// Failure handling follows [`SolverOptions::recovery`]: retryable failures
 /// (iteration cap, SPD breakdown, non-finite contamination) walk the
 /// escalation ladder — plain retries, a forced refresh (always granted when
 /// the factorization was stale, the historical safety net), then sticky
 /// preconditioner downgrades — each restarting from the saved initial
 /// guess. Every rung is recorded in the counters'
-/// [`RecoveryLedger`]; structural errors and the iteration budget abort
-/// immediately.
+/// [`RecoveryLedger`]; structural errors and the iteration `budget`
+/// (`0` = unlimited) abort immediately.
 #[allow(clippy::too_many_arguments)]
 fn solve_reduced(
     options: &SolverOptions,
-    recovery: &RecoveryPolicy,
+    budget: usize,
     counters: &mut SolveCounters,
     cache: &mut SubsystemCache,
     system: Subsystem,
@@ -1928,18 +1939,9 @@ fn solve_reduced(
         tol_rel: tol,
         ..options.linear
     };
-    check_budget(recovery, *budget_spent)?;
+    check_budget(budget, *budget_spent)?;
 
-    let mut fresh = if cache.precond.is_none() || cache.reuses >= options.precond_max_reuses {
-        refresh_or_rebuild(options, counters, cache, a, fault)?;
-        true
-    } else {
-        false
-    };
-    if !fresh {
-        cache.reuses += 1;
-        counters.precond_reuses += 1;
-    }
+    let mut fresh = cache.before_solve(options, counters, a, fault)?;
 
     // Failed attempts may leave `x` contaminated (NaN poison); every rung
     // restarts from the guess saved here.
@@ -1951,12 +1953,7 @@ fn solve_reduced(
     let faulty = fault.filter(|f| f.begin_solve());
 
     let run = |cache: &mut SubsystemCache, x: &mut [f64]| -> Result<SolveReport, CoreError> {
-        let Some(p) = cache.precond.as_ref() else {
-            // Unreachable: built or refreshed above and never cleared here.
-            return Err(CoreError::InvalidModel(
-                "preconditioner missing after build".into(),
-            ));
-        };
+        let p = built(&cache.precond)?;
         let report = if let Some(inj) = faulty {
             inj.begin_attempt();
             let fop = FaultyLinOp::new(a, inj);
@@ -1967,22 +1964,20 @@ fn solve_reduced(
         report.map_err(CoreError::from)
     };
 
-    // Static escalation plan: retries, then a refresh (always granted when
-    // the factorization was stale — the historical stale-retry safety net),
-    // then one rung per remaining downgrade level.
+    // Static escalation plan: retries, then a refresh, then one rung per
+    // remaining downgrade level. With the ladder off, a stale factorization
+    // still gets the refresh — the historical stale-retry safety net.
     let mut rungs: Vec<Rung> = Vec::new();
-    for _ in 0..recovery.max_retries {
-        rungs.push(Rung::Retry);
-    }
-    if recovery.forced_refresh || !fresh {
+    if options.recovery {
+        rungs.extend([Rung::Retry; MAX_RETRIES]);
         rungs.push(Rung::Refresh);
-    }
-    if recovery.precond_fallback {
         let mut kind = effective_kind(options, cache.fallback_level);
         while let Some(next) = next_fallback(kind) {
             rungs.push(Rung::Fallback);
             kind = next;
         }
+    } else if !fresh {
+        rungs.push(Rung::Refresh);
     }
 
     let mut rungs = rungs.into_iter();
@@ -2017,20 +2012,20 @@ fn solve_reduced(
                 e => e,
             });
         };
-        check_budget(recovery, *budget_spent)?;
+        check_budget(budget, *budget_spent)?;
         x.copy_from_slice(&cache.guess_backup);
         escalated = true;
         match rung {
             Rung::Retry => counters.recovery.solve_retries += 1,
             Rung::Refresh => {
-                refresh_or_rebuild(options, counters, cache, a, fault)?;
+                cache.refresh_or_rebuild(options, counters, a, fault)?;
                 fresh = true;
                 counters.recovery.forced_refreshes += 1;
             }
             Rung::Fallback => {
                 cache.fallback_level += 1;
                 cache.precond = None;
-                refresh_or_rebuild(options, counters, cache, a, fault)?;
+                cache.refresh_or_rebuild(options, counters, a, fault)?;
                 fresh = true;
                 counters.recovery.precond_fallbacks += 1;
             }
@@ -2044,11 +2039,7 @@ fn solve_reduced(
     }
     charge_solve(counters, system, report.iterations);
 
-    let degraded = cache.degraded(Effort::of(&report, tol), options.precond_refresh_factor);
-    if degraded && !fresh {
-        // Refresh eagerly so the *next* solve starts from current values.
-        refresh_or_rebuild(options, counters, cache, a, fault)?;
-    }
+    cache.after_solve(options, counters, Effort::of(&report, tol), fresh, a, fault)?;
     Ok(report.iterations)
 }
 
@@ -2281,6 +2272,21 @@ mod tests {
     }
 
     #[test]
+    fn step_rejects_vectors_of_the_wrong_length() {
+        let mut s = session(1e-3);
+        let t0 = s.initial_temperature();
+        let n = t0.len();
+        let mut phi = vec![0.0; n];
+        let invalid =
+            |r: Result<StepResult, CoreError>| matches!(r, Err(CoreError::InvalidModel(_)));
+        assert!(invalid(s.step(&t0[..n - 1], 1.0, &mut phi)));
+        assert!(invalid(s.step(&t0, 1.0, &mut phi[..n - 1])));
+        assert!(invalid(s.step(&t0, 1.0, &mut vec![0.0; n + 1])));
+        // The session stays usable.
+        assert!(s.step(&t0, 1.0, &mut phi).unwrap().converged);
+    }
+
+    #[test]
     fn snapshots_are_recorded_at_requested_times() {
         let mut s = session(1e-3);
         let sol = s.run_transient(10.0, 10, &[0.0, 5.0, 10.0]).unwrap();
@@ -2481,10 +2487,9 @@ mod tests {
         tol: f64,
     ) -> usize {
         let b = vec![1.0; a.n_rows()];
-        let recovery = RecoveryPolicy::default();
         let (system, mut spent) = (Subsystem::ThermalTransient, 0);
         solve_reduced(
-            options, &recovery, counters, cache, system, a, &b, x, None, &mut spent, tol,
+            options, 0, counters, cache, system, a, &b, x, None, &mut spent, tol,
         )
         .unwrap()
     }
@@ -2508,7 +2513,7 @@ mod tests {
         let tight = cached_solve(&options, &mut cache, &mut counters, &a, &mut vec![0.0; n], 1e-9);
         // Raw iteration counts would call the tight solve degraded.
         assert!(
-            tight as f64 > options.precond_refresh_factor * loose as f64,
+            tight as f64 > REFRESH_FACTOR * loose as f64,
             "{loose} then {tight} iterations"
         );
         assert_eq!(counters.precond_rebuilds, 1, "same matrix, refreshed");

@@ -11,7 +11,7 @@
 
 use etherm_core::{
     run_ensemble, CompiledModel, CoreError, ElectrothermalModel, EnsembleOptions, FailurePolicy,
-    Fault, FaultKind, FaultPlan, Scenario, Session, SolverOptions,
+    Fault, FaultKind, FaultPlan, PrecondKind, RecoveryLedger, Scenario, Session, SolverOptions,
 };
 use etherm_fit::boundary::ThermalBoundary;
 use etherm_grid::{Axis, CellPaint, Grid3, MaterialId};
@@ -142,6 +142,66 @@ fn a_first_solve_fault_actually_fires_and_recovers() {
     assert_eq!(faulted.faults_fired(), 1);
     assert_eq!(faulted.counters().recovery.recovered_solves, 1);
     assert_eq!(solution, reference);
+}
+
+/// A scalar AMG session on the wire model, with the recovery ladder on or
+/// off, running `plan`.
+fn amg_session(recovery: bool, plan: FaultPlan) -> Session {
+    let options = SolverOptions {
+        preconditioner: PrecondKind::Amg,
+        recovery,
+        ..SolverOptions::default()
+    };
+    let mut s = Session::new(CompiledModel::compile(wire_model(), options).unwrap());
+    s.set_fault_plan(Some(plan));
+    s
+}
+
+/// Pins the ladder's rung sequence. Every apply is poisoned, so every rung
+/// fires and fails. With the ladder on, the first solve takes one retry, a
+/// forced refresh and both downgrades, Amg → Ic(1) → Jacobi; the step is
+/// then halved twice, and each level's first solve, now on the sticky
+/// Jacobi rung, takes one retry and one forced refresh. With it off, the
+/// failure on the freshly built preconditioner propagates at once.
+#[test]
+fn saturating_fault_walks_the_whole_ladder_or_none_of_it() {
+    let full = RecoveryLedger {
+        solve_retries: 3,
+        forced_refreshes: 3,
+        precond_fallbacks: 2,
+        dt_halvings: 2,
+        ..RecoveryLedger::default()
+    };
+    for (recovery, ledger) in [(true, full), (false, RecoveryLedger::default())] {
+        let mut s = amg_session(recovery, FaultPlan::saturating(FaultKind::Nan));
+        let err = s.run_transient(1.0, 2, &[]).expect_err("unrecoverable");
+        // The very first solve, step 1's electrical one, is unrepairable.
+        let first_solve = "StepFailed { step: 1, time: 0.0, source: NonFinite { \
+                           system: \"electrical\", detail: \"initial residual\" } }";
+        assert_eq!(format!("{err:?}"), first_solve, "recovery {recovery}");
+        assert_eq!(s.counters().recovery, ledger, "recovery {recovery}");
+    }
+}
+
+/// With the ladder off, a failure on a reused preconditioner still gets one
+/// refresh-and-retry, the stale-factor safety net. Solve 2 is step 1's
+/// second electrical solve, on the preconditioner built for solve 0.
+#[test]
+fn ladder_off_still_refreshes_a_reused_preconditioner() {
+    let fault = Fault {
+        solve: 2,
+        apply: 0,
+        kind: FaultKind::Nan,
+    };
+    let mut s = amg_session(false, FaultPlan::new(vec![fault]));
+    s.run_transient(1.0, 2, &[])
+        .expect("recovered by the refresh");
+    let ledger = s.counters().recovery;
+    assert_eq!((ledger.forced_refreshes, ledger.recovered_solves), (1, 1));
+    assert_eq!(
+        ledger.solve_retries + ledger.precond_fallbacks + ledger.dt_halvings,
+        0
+    );
 }
 
 proptest! {

@@ -208,7 +208,7 @@ impl ModelState {
     /// jobs allocate their own ensemble sessions.
     fn checkin(&self, mut session: Session) {
         session.reset();
-        self.record(&session.recovery_ledger());
+        self.record(&session.counters().recovery);
         lock_or_recover(&self.pool).idle.push(session);
     }
 
@@ -718,13 +718,12 @@ fn pooled(
         kind: ErrorKind::Internal,
         message: format!("session prologue failed: {e}"),
     })?;
-    session.set_iteration_budget(Some(budget));
+    session.set_iteration_budget(budget);
     let outcome = if job.class == RequestClass::Fusing {
         fusing(job, &mut session)
     } else {
         wire_sizing(shared, job, &mut session).map_err(|e| error_response(job.id, &e))
     };
-    session.set_iteration_budget(None);
     state.checkin(session);
     outcome
 }
@@ -850,7 +849,7 @@ impl Scenario for PeakScenario {
         {
             return Err(interrupted());
         }
-        session.set_iteration_budget(Some(self.budget));
+        session.set_iteration_budget(self.budget);
         set_elongations(session, &self.nominal, sample)
     }
 
